@@ -82,20 +82,18 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
 
     try:
-        manifest = load_manifest(args.config)
+        cfg = config_from_manifest(
+            load_manifest(args.config),
+            output_dir=args.output,
+            seed=args.seed,
+            threshold=args.threshold,
+            workers=workers,
+            dot=args.dot,
+            graph_format=args.format,
+        )
     except (OSError, ValueError) as exc:
         print(f"restore: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    cfg = config_from_manifest(
-        manifest,
-        output_dir=args.output,
-        seed=args.seed,
-        threshold=args.threshold,
-        workers=workers,
-        dot=args.dot,
-        graph_format=args.format,
-    )
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     stage = _STAGES[args.command]
     try:

@@ -140,34 +140,24 @@ def build_graph(edges: Iterable[tuple[str, str]]) -> DiGraph:
     Indices are assigned in first-seen order; self-loops are dropped because
     reconstruction never scores the diagonal.
     """
-    labels: list[str] = []
-    index: dict[str, int] = {}
-    pair_set: set[tuple[int, int]] = set()
-
-    def intern(label: str) -> int:
+    def checked(label: str) -> str:
         if not isinstance(label, str) or not label:
             raise ValueError(f"node labels must be non-empty text, got {label!r}")
-        got = index.get(label)
-        if got is None:
-            got = len(labels)
-            index[label] = got
-            labels.append(label)
-        return got
+        return label
 
-    for src, dst in edges:
-        i, j = intern(src), intern(dst)
-        if i != j:
-            pair_set.add((i, j))
-    if not labels:
+    g = graph_from_labeled_edges((checked(src), checked(dst)) for src, dst in edges)
+    if g.node_count == 0:
         raise ValueError("empty graph")
-    pairs = np.array(sorted(pair_set), dtype=np.int64).reshape(-1, 2)
-    return DiGraph(labels, pairs)
+    return g
 
 
 def graph_from_labeled_edges(
     edges: Iterable[tuple[str, str]], extra_nodes: Iterable[str] = ()
 ) -> DiGraph:
-    """Like build_graph but admits isolated nodes and an empty edge set."""
+    """Deduplicated graph from (src, dst) label pairs plus `extra_nodes`.
+
+    Unlike build_graph it admits isolated nodes and an empty edge set.
+    """
     labels: list[str] = []
     index: dict[str, int] = {}
 

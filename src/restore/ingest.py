@@ -128,6 +128,7 @@ class Manifest:
     algorithms: list[str] = field(default_factory=lambda: list(ALGORITHMS))
     seed: int = 0
     options: dict[str, str] = field(default_factory=dict)  # remaining key/value pairs
+    option_locations: dict[str, str] = field(default_factory=dict)  # key -> "file:line"
 
     def __post_init__(self):
         bad_hops = [h for h in self.hops if h not in (1, 2, 3)]
@@ -150,6 +151,7 @@ def load_manifest(path: str | Path) -> Manifest:
     algorithms: list[str] = []
     seed = 0
     options: dict[str, str] = {}
+    locations: dict[str, str] = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -185,6 +187,7 @@ def load_manifest(path: str | Path) -> Manifest:
             seed = int(value)
         else:
             options[key] = value
+            locations[key] = f"{path}:{line_no}"
     if center_mode not in ("from-datasets", "explicit"):
         raise ValueError(f"centers must be 'from-datasets' or 'explicit', got {center_mode!r}")
     if not graph_path:
@@ -199,6 +202,7 @@ def load_manifest(path: str | Path) -> Manifest:
         algorithms=algorithms or list(ALGORITHMS),
         seed=seed,
         options=options,
+        option_locations=locations,
     )
 
 

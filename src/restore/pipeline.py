@@ -14,21 +14,21 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
 from .dot import render_dot
 from .emb_io import read_embedding, write_embedding
 from .factorization import AsymEmbedding, clamp_dim, hope_embed, lap_embed, lle_embed
-from .graph import DiGraph, NodeId, graph_from_labeled_edges, khop_ego_subgraph
+from .graph import DiGraph, graph_from_labeled_edges, khop_ego_subgraph
 from .ingest import (
     ALGORITHMS,
     Manifest,
     graph_from_records,
-    load_manifest,
     parse_edge_list,
     resolve_centers,
     write_edge_list,
@@ -39,6 +39,7 @@ from .sdne import SdneParams, sdne_train
 from .semantic import (
     analogy_distance,
     analogy_vocab,
+    default_label_mapper,
     load_analogy_dataset,
     load_similarity_dataset,
     similarity_mean_distance,
@@ -48,6 +49,11 @@ from .semantic import (
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
+STAGES = ("extract", "embed", "reconstruct", "semantic")
+DIFF_COLUMNS = ("algorithm", "hop", "avg_nodes", "avg_added_nodes", "avg_missing_nodes",
+                "avg_edges", "avg_added_edges", "avg_missing_edges")
+SEMANTIC_COLUMNS = ("dataset", "algorithm", "hop", "mean_distance", "pairs_evaluated",
+                    "pairs_skipped")
 
 DEFAULT_DIM_SCHEDULE = {1: 2, 2: 64, 3: 128}
 DEFAULT_SCORERS = {
@@ -83,43 +89,45 @@ class PipelineConfig:
     dot: bool = False
 
     def label_mapper(self) -> Callable[[str], str]:
-        prefix = self.label_prefix
-        return lambda word: prefix + word.strip().lower().replace(" ", "_")
+        return partial(default_label_mapper, prefix=self.label_prefix)
 
     def effective_dict(self) -> dict:
         """Every effective hyperparameter, serialized for the run report."""
-        return {
-            "dim_schedule": {str(k): v for k, v in sorted(self.dim_schedule.items())},
-            "epochs": self.epochs,
-            "threshold": self.threshold,
-            "prec_fractions": list(self.prec_fractions),
-            "scorers": dict(sorted(self.scorers.items())),
-            "node2vec": {
-                "walk_length": self.node2vec.walk_length,
-                "walks_per_node": self.node2vec.walks_per_node,
-                "context_size": self.node2vec.context_size,
-                "p": self.node2vec.p,
-                "q": self.node2vec.q,
-                "negatives_per_positive": self.node2vec.negatives_per_positive,
-                "learning_rate": self.node2vec.learning_rate,
-                "epochs": self.node2vec.epochs,
-            },
-            "sdne": {
-                "alpha": self.sdne.alpha,
-                "beta_penalty": self.sdne.beta_penalty,
-                "l1_reg": self.sdne.l1_reg,
-                "l2_reg": self.sdne.l2_reg,
-                "rho": self.sdne.rho,
-                "xeta": self.sdne.xeta,
-                "batch_size": self.sdne.batch_size,
-                "epochs": self.sdne.epochs,
-            },
-            "hope_beta": self.hope_beta,
-            "analogy_mode": self.analogy_mode,
-            "emb_format": self.emb_format,
-            "label_prefix": self.label_prefix,
-            "seed": self.seed,
-        }
+        eff = asdict(self)
+        for name in ("manifest", "output_dir", "workers", "dot"):
+            del eff[name]
+        del eff["node2vec"]["seed"]  # each cell trains under its own cell seed
+        eff["dim_schedule"] = {str(k): v for k, v in sorted(self.dim_schedule.items())}
+        eff["prec_fractions"] = list(self.prec_fractions)
+        return eff
+
+
+def _parse_dim_schedule(value: str) -> dict[int, int]:
+    schedule = {}
+    for chunk in value.split(","):
+        hop, _, dim = chunk.partition(":")
+        schedule[int(hop)] = int(dim)
+    return schedule
+
+
+def _option_casts() -> dict[str, Callable[[str], object]]:
+    """Manifest option key -> parser, walked from the config's own fields.
+
+    `seed` is the manifest's own `seed` line and `workers` a CLI flag; the
+    embedders' `epochs` and `seed` come from the top-level `epochs` and the
+    cell seeds. None of these is an option key.
+    """
+    casts: dict[str, Callable[[str], object]] = {"dim_schedule": _parse_dim_schedule}
+    casts.update({f"scorer.{algo}": str for algo in ALGORITHMS})
+    for name, hint in get_type_hints(PipelineConfig).items():
+        if hint in (int, float, str) and name not in ("seed", "workers"):
+            casts[name] = hint
+        elif is_dataclass(hint) and name != "manifest":
+            casts.update({
+                f"{name}.{sub}": cast for sub, cast in get_type_hints(hint).items()
+                if sub not in ("epochs", "seed")
+            })
+    return casts
 
 
 def config_from_manifest(
@@ -131,52 +139,36 @@ def config_from_manifest(
     dot: bool = False,
     graph_format: str | None = None,
 ) -> PipelineConfig:
-    """Apply manifest options and CLI overrides on top of the defaults."""
-    opts = manifest.options
-    cfg = PipelineConfig(manifest=manifest, output_dir=Path(output_dir))
-    if graph_format:
-        manifest.graph_format = graph_format
-    if "dim_schedule" in opts:
-        schedule = {}
-        for chunk in opts["dim_schedule"].split(","):
-            hop, _, dim = chunk.partition(":")
-            schedule[int(hop)] = int(dim)
-        cfg.dim_schedule = schedule
-    if "epochs" in opts:
-        cfg.epochs = int(opts["epochs"])
-    cfg.threshold = float(opts.get("threshold", cfg.threshold))
+    """Apply manifest options and CLI overrides on top of the defaults.
+
+    An unknown option key, or a value its field cannot parse, raises
+    ValueError naming the manifest line it came from.
+    """
+    casts = _option_casts()
+    groups: dict[str, dict] = {"": {}, "scorer": {}, "node2vec": {}, "sdne": {}}
+    for key, raw in manifest.options.items():
+        where = manifest.option_locations.get(key, "manifest")
+        if key not in casts:
+            raise ValueError(f"{where}: unknown manifest key {key!r}")
+        try:
+            value = casts[key](raw)
+        except ValueError as exc:
+            raise ValueError(f"{where}: bad value for {key}: {exc}") from None
+        group, _, name = key.rpartition(".")
+        groups[group][name] = value
     if threshold is not None:
-        cfg.threshold = threshold
-    cfg.hope_beta = float(opts.get("hope_beta", cfg.hope_beta))
-    cfg.analogy_mode = opts.get("analogy_mode", cfg.analogy_mode)
-    cfg.emb_format = opts.get("emb_format", cfg.emb_format)
-    cfg.label_prefix = opts.get("label_prefix", cfg.label_prefix)
-    for algo in ALGORITHMS:
-        key = f"scorer.{algo}"
-        if key in opts:
-            cfg.scorers[algo] = opts[key]
-    n2v = {}
-    for name, cast in (
-        ("walk_length", int), ("walks_per_node", int), ("context_size", int),
-        ("p", float), ("q", float), ("negatives_per_positive", int),
-        ("learning_rate", float),
-    ):
-        key = f"node2vec.{name}"
-        if key in opts:
-            n2v[name] = cast(opts[key])
-    cfg.node2vec = replace(cfg.node2vec, epochs=cfg.epochs, **n2v)
-    sdne_kwargs = {}
-    for name, cast in (
-        ("alpha", float), ("beta_penalty", float), ("l1_reg", float), ("l2_reg", float),
-        ("rho", float), ("xeta", float), ("batch_size", int),
-    ):
-        key = f"sdne.{name}"
-        if key in opts:
-            sdne_kwargs[name] = cast(opts[key])
-    cfg.sdne = replace(cfg.sdne, epochs=cfg.epochs, **sdne_kwargs)
-    cfg.seed = manifest.seed if seed is None else seed
-    cfg.workers = max(1, workers)
-    cfg.dot = dot
+        groups[""]["threshold"] = threshold
+    cfg = PipelineConfig(
+        manifest=replace(manifest, graph_format=graph_format) if graph_format else manifest,
+        output_dir=Path(output_dir),
+        seed=manifest.seed if seed is None else seed,
+        workers=max(1, workers),
+        dot=dot,
+        **groups[""],
+    )
+    cfg.scorers.update(groups["scorer"])
+    cfg.node2vec = replace(cfg.node2vec, epochs=cfg.epochs, **groups["node2vec"])
+    cfg.sdne = replace(cfg.sdne, epochs=cfg.epochs, **groups["sdne"])
     return cfg
 
 
@@ -212,13 +204,6 @@ def _read_json(path: Path):
 # -- shared loading -------------------------------------------------------
 
 
-def load_graph(cfg: PipelineConfig) -> DiGraph:
-    parsed = parse_edge_list(cfg.manifest.graph_path, cfg.manifest.graph_format)
-    if not parsed.records and not parsed.isolated_nodes:
-        raise PipelineError(f"graph file {cfg.manifest.graph_path} holds no edges")
-    return graph_from_records(parsed)
-
-
 def load_datasets(cfg: PipelineConfig) -> dict[str, dict]:
     """name -> {kind, records, vocab, diagnostics}"""
     out = {}
@@ -234,117 +219,112 @@ def load_datasets(cfg: PipelineConfig) -> dict[str, dict]:
     return out
 
 
-def _resolved_cells(cfg: PipelineConfig) -> list[dict]:
-    return _read_json(cfg.output_dir / "cells.json")["cells"]
+def _require(cfg: PipelineConfig, stage: str, *names: str) -> None:
+    missing = [name for name in names if not (cfg.output_dir / name).exists()]
+    if missing:
+        raise PipelineError(f"{stage} stage requires prior outputs; missing: {missing}")
 
 
-def _run_cells(cfg: PipelineConfig, tasks, worker) -> tuple[dict, list[dict]]:
-    """Run `worker` over tasks on a bounded pool; collect results and errors."""
-    results: dict[str, object] = {}
-    errors: list[dict] = []
+def run_stage(cfg: PipelineConfig, stage: str, tasks: list[dict], worker) -> tuple[dict, list[dict]]:
+    """Run `worker` over tasks on a bounded thread pool; return results by cell key, and errors.
+
+    A failing cell becomes an entry of errors_<stage>.json, sorted by cell,
+    and never stops its siblings. Each cell's wall time and the stage's
+    `_stage_total` go to timings/<stage>.json.
+    """
+    started = time.perf_counter()
 
     def run_one(task):
-        key = task["key"]
+        t0 = time.perf_counter()
         try:
-            return key, worker(task), None
+            value, error = worker(task), None
         except Exception as exc:  # cell isolation: record, keep siblings running
-            return key, None, {"cell": key, "stage": task["stage"], "error": str(exc)}
+            value, error = None, {"cell": task["key"], "stage": stage, "error": str(exc)}
+        return task["key"], value, error, time.perf_counter() - t0
 
-    if cfg.workers == 1:
-        outcomes = [run_one(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(run_one, tasks))
-    for key, value, err in outcomes:
-        if err is not None:
-            errors.append(err)
-        else:
-            results[key] = value
-    errors.sort(key=lambda e: e["cell"])
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        outcomes = list(pool.map(run_one, tasks))
+    results = {key: value for key, value, error, _ in outcomes if error is None}
+    errors = sorted((error for *_, error, _ in outcomes if error is not None),
+                    key=lambda e: e["cell"])
+    _write_json(cfg.output_dir / f"errors_{stage}.json", errors)
+    timings = {key: seconds for key, *_, seconds in outcomes}
+    timings["_stage_total"] = time.perf_counter() - started
+    _write_json(cfg.output_dir / "timings" / f"{stage}.json", timings)
     return results, errors
 
 
-def _write_stage_errors(cfg: PipelineConfig, stage: str, errors: list[dict]) -> None:
-    _write_json(cfg.output_dir / f"errors_{stage}.json", errors)
-
-
-def _timing_path(cfg: PipelineConfig, stage: str) -> Path:
-    return cfg.output_dir / "timings" / f"{stage}.json"
+def _cell_tasks(cfg: PipelineConfig) -> list[dict]:
+    """One task per (center, hop, algorithm) cell of cells.json."""
+    return [
+        {"key": f"{cell['center']}|h{cell['hop']}|{algo}", "center": cell["center"],
+         "hop": cell["hop"], "algorithm": algo, "stem": f"{cell['slug']}_h{cell['hop']}",
+         "seed": cell_seed(cfg.seed, cell["center"], cell["hop"], algo)}
+        for cell in _read_json(cfg.output_dir / "cells.json")["cells"]
+        for algo in cfg.manifest.algorithms
+    ]
 
 
 # -- stage: extract --------------------------------------------------------
 
 
 def run_extract(cfg: PipelineConfig) -> list[dict]:
-    started = time.perf_counter()
-    graph = load_graph(cfg)
-    datasets = load_datasets(cfg)
-    vocab = {name: info["vocab"] for name, info in datasets.items()}
-
+    manifest = cfg.manifest
+    parsed = parse_edge_list(manifest.graph_path, manifest.graph_format)
+    if not parsed.records and not parsed.isolated_nodes:
+        raise PipelineError(f"graph file {manifest.graph_path} holds no edges")
+    graph = graph_from_records(parsed)
+    vocab = {name: info["vocab"] for name, info in load_datasets(cfg).items()}
     out = cfg.output_dir
     (out / "subgraphs").mkdir(parents=True, exist_ok=True)
-    cells = []
-    errors: list[dict] = []
 
-    manifest = cfg.manifest
     if manifest.center_mode == "explicit" or manifest.center_labels:
-        # unresolved explicit centers become error entries, the rest proceed
-        centers = []
-        for label in dict.fromkeys(manifest.center_labels):
-            if graph.has_label(label):
-                centers.append(NodeId(label, graph.index_of(label)))
-            else:
-                errors.append({
-                    "cell": label, "stage": "extract",
-                    "error": f"center label not present in graph: {label!r}",
-                })
-        if not centers:
-            raise PipelineError("no explicit centers resolved against the graph")
+        labels = list(dict.fromkeys(manifest.center_labels))
     else:
-        centers = resolve_centers(manifest, vocab, graph, cfg.label_mapper())
-    timings: dict[str, float] = {}
-    stats: dict[str, dict] = {}
-    for center in centers:
-        for hop in cfg.manifest.hops:
-            key = f"{center.label}|h{hop}"
-            slug = center_slug(center.label)
-            path = out / "subgraphs" / f"{slug}_h{hop}.tsv"
-            t0 = time.perf_counter()
-            try:
-                sub = khop_ego_subgraph(graph, center.label, hop)
-                if not path.exists():
-                    write_edge_list(sub, path)
-                stats[key] = {"nodes": sub.node_count, "edges": sub.edge_count, "hop": hop}
-                cells.append({"center": center.label, "slug": slug, "hop": hop})
-            except Exception as exc:
-                errors.append({"cell": key, "stage": "extract", "error": str(exc)})
-            timings[key] = time.perf_counter() - t0
+        labels = [c.label for c in resolve_centers(manifest, vocab, graph, cfg.label_mapper())]
+    centers = [label for label in labels if graph.has_label(label)]
+    if not centers:
+        raise PipelineError("no explicit centers resolved against the graph")
+    # unresolved explicit centers become error entries, the rest proceed
+    tasks = [{"key": label, "center": label} for label in labels if not graph.has_label(label)] + [
+        {"key": f"{label}|h{hop}", "center": label, "slug": center_slug(label), "hop": hop}
+        for label in centers
+        for hop in manifest.hops
+    ]
 
+    def worker(task):
+        if not graph.has_label(task["center"]):
+            raise ValueError(f"center label not present in graph: {task['center']!r}")
+        sub = khop_ego_subgraph(graph, task["center"], task["hop"])
+        path = out / "subgraphs" / f"{task['slug']}_h{task['hop']}.tsv"
+        if not path.exists():
+            write_edge_list(sub, path)
+        return {"nodes": sub.node_count, "edges": sub.edge_count, "hop": task["hop"]}
+
+    stats, errors = run_stage(cfg, "extract", tasks, worker)
     per_hop = {}
-    for hop in cfg.manifest.hops:
-        sizes = [(s["nodes"], s["edges"]) for s in stats.values() if s["hop"] == hop]
-        if not sizes:
-            continue
-        vs = [v for v, _ in sizes]
-        es = [e for _, e in sizes]
-        per_hop[str(hop)] = {
-            "min_v": min(vs), "avg_v": sum(vs) / len(vs), "max_v": max(vs),
-            "min_e": min(es), "avg_e": sum(es) / len(es), "max_e": max(es),
-        }
+    for hop in manifest.hops:
+        vs = [s["nodes"] for s in stats.values() if s["hop"] == hop]
+        es = [s["edges"] for s in stats.values() if s["hop"] == hop]
+        if vs:
+            per_hop[str(hop)] = {
+                "min_v": min(vs), "avg_v": sum(vs) / len(vs), "max_v": max(vs),
+                "min_e": min(es), "avg_e": sum(es) / len(es), "max_e": max(es),
+            }
     _write_json(out / "cells.json", {
-        "centers": [{"label": c.label, "slug": center_slug(c.label)} for c in centers],
-        "hops": list(cfg.manifest.hops),
-        "algorithms": list(cfg.manifest.algorithms),
-        "cells": cells,
+        "centers": [{"label": label, "slug": center_slug(label)} for label in centers],
+        "hops": list(manifest.hops),
+        "algorithms": list(manifest.algorithms),
+        "cells": [
+            {"center": t["center"], "slug": t["slug"], "hop": t["hop"]}
+            for t in tasks if t["key"] in stats
+        ],
     })
     _write_json(out / "stats.json", {
         "graph": {"nodes": graph.node_count, "edges": graph.edge_count},
         "per_hop": per_hop,
         "cells": {k: {"nodes": v["nodes"], "edges": v["edges"]} for k, v in sorted(stats.items())},
     })
-    _write_stage_errors(cfg, "extract", errors)
-    timings["_stage_total"] = time.perf_counter() - started
-    _write_json(_timing_path(cfg, "extract"), timings)
     return errors
 
 
@@ -366,51 +346,29 @@ def _embed_one(cfg: PipelineConfig, sub: DiGraph, algorithm: str, dim: int, seed
 
 
 def run_embed(cfg: PipelineConfig) -> list[dict]:
-    started = time.perf_counter()
     out = cfg.output_dir
-    if not (out / "cells.json").exists():
-        raise PipelineError("embed stage requires extract outputs (cells.json missing)")
+    _require(cfg, "embed", "cells.json")
     (out / "embeddings").mkdir(parents=True, exist_ok=True)
-    tasks = []
-    for cell in _resolved_cells(cfg):
-        for algo in cfg.manifest.algorithms:
-            key = f"{cell['center']}|h{cell['hop']}|{algo}"
-            tasks.append({
-                "key": key,
-                "stage": "embed",
-                "center": cell["center"],
-                "slug": cell["slug"],
-                "hop": cell["hop"],
-                "algorithm": algo,
-            })
-    timings: dict[str, float] = {}
 
     def worker(task):
-        t0 = time.perf_counter()
-        sub_path = out / "subgraphs" / f"{task['slug']}_h{task['hop']}.tsv"
-        sub = graph_from_records(parse_edge_list(sub_path, "tsv3"))
+        sub = graph_from_records(parse_edge_list(out / "subgraphs" / f"{task['stem']}.tsv", "tsv3"))
         requested = cfg.dim_schedule.get(task["hop"], 2)
         effective = clamp_dim(requested, sub.node_count)
         if effective != requested:
             log.info("cell %s: requested %d, effective %d", task["key"], requested, effective)
-        seed = cell_seed(cfg.seed, task["center"], task["hop"], task["algorithm"])
-        emb_path = out / "embeddings" / f"{task['slug']}_h{task['hop']}_{task['algorithm']}.emb"
+        emb_path = out / "embeddings" / f"{task['stem']}_{task['algorithm']}.emb"
         if not emb_path.exists():
-            emb = _embed_one(cfg, sub, task["algorithm"], requested, seed)
+            emb = _embed_one(cfg, sub, task["algorithm"], requested, task["seed"])
             write_embedding(emb, emb_path, cfg.emb_format)
-        timings[task["key"]] = time.perf_counter() - t0
         return {
             "requested_dim": requested,
             "effective_dim": effective,
-            "cell_seed": seed,
+            "cell_seed": task["seed"],
             "nodes": sub.node_count,
         }
 
-    results, errors = _run_cells(cfg, tasks, worker)
+    results, errors = run_stage(cfg, "embed", _cell_tasks(cfg), worker)
     _write_json(out / "embeddings" / "embed_log.json", dict(sorted(results.items())))
-    _write_stage_errors(cfg, "embed", errors)
-    timings["_stage_total"] = time.perf_counter() - started
-    _write_json(_timing_path(cfg, "embed"), timings)
     return errors
 
 
@@ -418,29 +376,16 @@ def run_embed(cfg: PipelineConfig) -> list[dict]:
 
 
 def run_reconstruct(cfg: PipelineConfig) -> list[dict]:
-    started = time.perf_counter()
     out = cfg.output_dir
-    if not (out / "embeddings" / "embed_log.json").exists():
-        raise PipelineError("reconstruct stage requires embed outputs")
-    (out / "recon").mkdir(parents=True, exist_ok=True)
+    _require(cfg, "reconstruct", "embeddings/embed_log.json")
     if cfg.dot:
         (out / "dot").mkdir(parents=True, exist_ok=True)
     embed_log = _read_json(out / "embeddings" / "embed_log.json")
-    tasks = []
-    for cell in _resolved_cells(cfg):
-        for algo in cfg.manifest.algorithms:
-            key = f"{cell['center']}|h{cell['hop']}|{algo}"
-            if key not in embed_log:
-                continue  # embedding failed upstream; its error is already recorded
-            tasks.append({
-                "key": key, "stage": "reconstruct", "center": cell["center"],
-                "slug": cell["slug"], "hop": cell["hop"], "algorithm": algo,
-            })
-    timings: dict[str, float] = {}
+    # a cell whose embedding failed upstream has its error recorded already
+    tasks = [task for task in _cell_tasks(cfg) if task["key"] in embed_log]
 
     def worker(task):
-        t0 = time.perf_counter()
-        stem = f"{task['slug']}_h{task['hop']}"
+        stem = task["stem"]
         sub = graph_from_records(parse_edge_list(out / "subgraphs" / f"{stem}.tsv", "tsv3"))
         emb = read_embedding(out / "embeddings" / f"{stem}_{task['algorithm']}.emb")
         scorer = cfg.scorers[task["algorithm"]]
@@ -456,7 +401,7 @@ def run_reconstruct(cfg: PipelineConfig) -> list[dict]:
             "prediction_count": report.prediction_count,
             "nodes": sub.node_count,
             "edges": sub.edge_count,
-            "cell_seed": cell_seed(cfg.seed, task["center"], task["hop"], task["algorithm"]),
+            "cell_seed": task["seed"],
             "diff": {
                 "added_nodes": report.diff.added_nodes,
                 "missing_nodes": report.diff.missing_nodes,
@@ -477,14 +422,8 @@ def run_reconstruct(cfg: PipelineConfig) -> list[dict]:
             dot_src = render_dot(sub, recon_graph, report.diff)
             if dot_src is not None:
                 (out / "dot" / f"{stem}_{task['algorithm']}.dot").write_text(dot_src)
-        timings[task["key"]] = time.perf_counter() - t0
-        return payload["map"]
 
-    _, errors = _run_cells(cfg, tasks, worker)
-    _write_stage_errors(cfg, "reconstruct", errors)
-    timings["_stage_total"] = time.perf_counter() - started
-    _write_json(_timing_path(cfg, "reconstruct"), timings)
-    return errors
+    return run_stage(cfg, "reconstruct", tasks, worker)[1]
 
 
 # -- stage: semantic ----------------------------------------------------------
@@ -492,13 +431,10 @@ def run_reconstruct(cfg: PipelineConfig) -> list[dict]:
 
 def _center_vector_lookup(cfg: PipelineConfig, hop: int, algorithm: str) -> dict[str, np.ndarray]:
     """Each center's own vector, read from its ego-subgraph embedding."""
-    out = cfg.output_dir
     lookup: dict[str, np.ndarray] = {}
-    for cell in _resolved_cells(cfg):
-        if cell["hop"] != hop:
-            continue
-        path = out / "embeddings" / f"{cell['slug']}_h{hop}_{algorithm}.emb"
-        if not path.exists():
+    for cell in _read_json(cfg.output_dir / "cells.json")["cells"]:
+        path = cfg.output_dir / "embeddings" / f"{cell['slug']}_h{hop}_{algorithm}.emb"
+        if cell["hop"] != hop or not path.exists():
             continue
         emb = read_embedding(path)
         if isinstance(emb, AsymEmbedding):
@@ -511,25 +447,18 @@ def _center_vector_lookup(cfg: PipelineConfig, hop: int, algorithm: str) -> dict
 
 
 def run_semantic(cfg: PipelineConfig) -> list[dict]:
-    started = time.perf_counter()
     out = cfg.output_dir
-    if not (out / "embeddings" / "embed_log.json").exists():
-        raise PipelineError("semantic stage requires embed outputs")
-    (out / "semantic").mkdir(parents=True, exist_ok=True)
-    datasets = load_datasets(cfg)
+    _require(cfg, "semantic", "embeddings/embed_log.json")
     mapper = cfg.label_mapper()
-    tasks = []
-    for name, info in sorted(datasets.items()):
-        for hop in cfg.manifest.hops:
-            for algo in cfg.manifest.algorithms:
-                tasks.append({
-                    "key": f"{name}|h{hop}|{algo}", "stage": "semantic",
-                    "dataset": name, "hop": hop, "algorithm": algo, "info": info,
-                })
-    timings: dict[str, float] = {}
+    tasks = [
+        {"key": f"{name}|h{hop}|{algo}", "dataset": name, "hop": hop, "algorithm": algo,
+         "info": info, "stem": f"{name}_h{hop}_{algo}"}
+        for name, info in sorted(load_datasets(cfg).items())
+        for hop in cfg.manifest.hops
+        for algo in cfg.manifest.algorithms
+    ]
 
     def worker(task):
-        t0 = time.perf_counter()
         lookup = _center_vector_lookup(cfg, task["hop"], task["algorithm"])
         info = task["info"]
         if info["kind"] == "similarity":
@@ -550,18 +479,9 @@ def run_semantic(cfg: PipelineConfig) -> list[dict]:
             "pairs_skipped": rep.pairs_skipped,
             "mode": rep.mode,
         }
-        _write_json(
-            out / "semantic" / f"{task['dataset']}_h{task['hop']}_{task['algorithm']}.json",
-            payload,
-        )
-        timings[task["key"]] = time.perf_counter() - t0
-        return payload
+        _write_json(out / "semantic" / f"{task['stem']}.json", payload)
 
-    _, errors = _run_cells(cfg, tasks, worker)
-    _write_stage_errors(cfg, "semantic", errors)
-    timings["_stage_total"] = time.perf_counter() - started
-    _write_json(_timing_path(cfg, "semantic"), timings)
-    return errors
+    return run_stage(cfg, "semantic", tasks, worker)[1]
 
 
 # -- stage: report --------------------------------------------------------------
@@ -571,83 +491,68 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
+def _load_cells(directory: Path, name_field: str) -> dict[str, dict]:
+    """`<name>|h<hop>|<algorithm>` -> payload of every cell file in directory."""
+    cells = {}
+    for path in sorted(directory.glob("*.json")):
+        payload = _read_json(path)
+        cells[f"{payload[name_field]}|h{payload['hop']}|{payload['algorithm']}"] = payload
+    return cells
+
+
+def _by_algorithm_hop(cfg: PipelineConfig, cells: dict[str, dict]) -> list[tuple[str, int, list]]:
+    """(algorithm, hop, cells) in manifest order, skipping empty groups."""
+    groups: dict[tuple[str, int], list[dict]] = {}
+    for cell in cells.values():
+        groups.setdefault((cell["algorithm"], cell["hop"]), []).append(cell)
+    return [
+        (algo, hop, groups[algo, hop])
+        for algo in cfg.manifest.algorithms
+        for hop in cfg.manifest.hops
+        if (algo, hop) in groups
+    ]
+
+
 def run_report(cfg: PipelineConfig) -> list[dict]:
     out = cfg.output_dir
-    missing = [
-        str(p) for p in (out / "cells.json", out / "embeddings" / "embed_log.json")
-        if not p.exists()
-    ]
-    if missing:
-        raise PipelineError(f"report stage requires prior outputs; missing: {missing}")
+    _require(cfg, "report", "cells.json", "embeddings/embed_log.json")
 
-    recon_cells = {}
-    for path in sorted((out / "recon").glob("*.json")) if (out / "recon").exists() else []:
-        payload = _read_json(path)
-        key = f"{payload['center']}|h{payload['hop']}|{payload['algorithm']}"
-        recon_cells[key] = payload
-    semantic_cells = {}
-    if (out / "semantic").exists():
-        for path in sorted((out / "semantic").glob("*.json")):
-            payload = _read_json(path)
-            key = f"{payload['dataset']}|h{payload['hop']}|{payload['algorithm']}"
-            semantic_cells[key] = payload
-
+    recon_cells = _load_cells(out / "recon", "center")
+    semantic_cells = _load_cells(out / "semantic", "dataset")
     errors: list[dict] = []
-    for stage in ("extract", "embed", "reconstruct", "semantic"):
+    for stage in STAGES:
         path = out / f"errors_{stage}.json"
         if path.exists():
             errors.extend(_read_json(path))
 
-    recon_rows = []
-    for algo in cfg.manifest.algorithms:
-        for hop in cfg.manifest.hops:
-            cells = [c for c in recon_cells.values() if c["algorithm"] == algo and c["hop"] == hop]
-            if not cells:
-                continue
-            row = {
-                "algorithm": algo,
-                "hop": hop,
-                "cells": len(cells),
-                "map": _mean([c["map"] for c in cells]),
-                "prec_at": {
-                    str(f): _mean([c["prec_at"][str(f)] for c in cells])
-                    for f in cfg.prec_fractions
-                },
-            }
-            recon_rows.append(row)
-    diff_rows = []
-    for algo in cfg.manifest.algorithms:
-        for hop in cfg.manifest.hops:
-            cells = [c for c in recon_cells.values() if c["algorithm"] == algo and c["hop"] == hop]
-            if not cells:
-                continue
-            diff_rows.append({
-                "algorithm": algo,
-                "hop": hop,
-                "avg_nodes": _mean([c["nodes"] for c in cells]),
-                "avg_added_nodes": _mean([c["diff"]["added_nodes"] for c in cells]),
-                "avg_missing_nodes": _mean([c["diff"]["missing_nodes"] for c in cells]),
-                "avg_edges": _mean([c["edges"] for c in cells]),
-                "avg_added_edges": _mean([c["diff"]["added_edges"] for c in cells]),
-                "avg_missing_edges": _mean([c["diff"]["missing_edges"] for c in cells]),
-            })
+    recon_rows, diff_rows = [], []
+    for algo, hop, cells in _by_algorithm_hop(cfg, recon_cells):
+        recon_rows.append({
+            "algorithm": algo,
+            "hop": hop,
+            "cells": len(cells),
+            "map": _mean([c["map"] for c in cells]),
+            "prec_at": {
+                str(f): _mean([c["prec_at"][str(f)] for c in cells]) for f in cfg.prec_fractions
+            },
+        })
+        diff_rows.append({
+            "algorithm": algo,
+            "hop": hop,
+            "avg_nodes": _mean([c["nodes"] for c in cells]),
+            "avg_added_nodes": _mean([c["diff"]["added_nodes"] for c in cells]),
+            "avg_missing_nodes": _mean([c["diff"]["missing_nodes"] for c in cells]),
+            "avg_edges": _mean([c["edges"] for c in cells]),
+            "avg_added_edges": _mean([c["diff"]["added_edges"] for c in cells]),
+            "avg_missing_edges": _mean([c["diff"]["missing_edges"] for c in cells]),
+        })
     semantic_rows = [semantic_cells[k] for k in sorted(semantic_cells)]
-    semantic_averages = []
+    semantic_averages = [
+        {"algorithm": algo, "hop": hop, "datasets": len(cells),
+         "average_distance": _mean([c["mean_distance"] for c in cells])}
+        for algo, hop, cells in _by_algorithm_hop(cfg, semantic_cells)
+    ]
     datasets = sorted({c["dataset"] for c in semantic_cells.values()})
-    for algo in cfg.manifest.algorithms:
-        for hop in cfg.manifest.hops:
-            cells = [
-                c for c in semantic_cells.values()
-                if c["algorithm"] == algo and c["hop"] == hop
-            ]
-            if not cells:
-                continue
-            semantic_averages.append({
-                "algorithm": algo,
-                "hop": hop,
-                "datasets": len(cells),
-                "average_distance": _mean([c["mean_distance"] for c in cells]),
-            })
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -662,50 +567,30 @@ def run_report(cfg: PipelineConfig) -> list[dict]:
     validate_run_result(report)
     _write_json(out / "report.json", report)
 
-    _write_recon_csv(out / "report_recon.csv", recon_rows, cfg.prec_fractions)
-    _write_diff_csv(out / "report_diff.csv", diff_rows)
-    _write_semantic_csv(out / "report_semantic.csv", semantic_rows, semantic_averages)
+    prec_columns = [f"prec@{f}" for f in cfg.prec_fractions]
+    _write_csv(out / "report_recon.csv", ["algorithm", "hop", "map", *prec_columns], [
+        {**row, **{f"prec@{f}": v for f, v in row["prec_at"].items()}} for row in recon_rows
+    ])
+    _write_csv(out / "report_diff.csv", DIFF_COLUMNS, diff_rows)
+    _write_csv(out / "report_semantic.csv", SEMANTIC_COLUMNS, semantic_rows + [
+        {**row, "dataset": "average", "mean_distance": row["average_distance"]}
+        for row in semantic_averages
+    ])
 
-    merged: dict[str, dict] = {}
-    for stage in ("extract", "embed", "reconstruct", "semantic"):
-        path = _timing_path(cfg, stage)
-        if path.exists():
-            merged[stage] = _read_json(path)
+    merged = {
+        stage: _read_json(out / "timings" / f"{stage}.json")
+        for stage in STAGES if (out / "timings" / f"{stage}.json").exists()
+    }
     (out / "timings.json").write_text(json.dumps(merged, indent=2), encoding="utf-8")
     return errors
 
 
-def _write_recon_csv(path: Path, rows: list[dict], fractions) -> None:
-    header = "algorithm,hop,map," + ",".join(f"prec@{f}" for f in fractions)
-    lines = [header]
+def _write_csv(path: Path, columns: Sequence[str], rows: list[dict]) -> None:
+    """Numbers as `repr`, so floats round-trip exactly; absent cells stay empty."""
+    lines = [",".join(columns)]
     for row in rows:
-        precs = ",".join(repr(row["prec_at"][str(f)]) for f in fractions)
-        lines.append(f"{row['algorithm']},{row['hop']},{row['map']!r},{precs}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_diff_csv(path: Path, rows: list[dict]) -> None:
-    header = ("algorithm,hop,avg_nodes,avg_added_nodes,avg_missing_nodes,"
-              "avg_edges,avg_added_edges,avg_missing_edges")
-    lines = [header]
-    for r in rows:
-        lines.append(
-            f"{r['algorithm']},{r['hop']},{r['avg_nodes']!r},{r['avg_added_nodes']!r},"
-            f"{r['avg_missing_nodes']!r},{r['avg_edges']!r},{r['avg_added_edges']!r},"
-            f"{r['avg_missing_edges']!r}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_semantic_csv(path: Path, rows: list[dict], averages: list[dict]) -> None:
-    lines = ["dataset,algorithm,hop,mean_distance,pairs_evaluated,pairs_skipped"]
-    for r in rows:
-        lines.append(
-            f"{r['dataset']},{r['algorithm']},{r['hop']},{r['mean_distance']!r},"
-            f"{r['pairs_evaluated']},{r['pairs_skipped']}"
-        )
-    for r in averages:
-        lines.append(f"average,{r['algorithm']},{r['hop']},{r['average_distance']!r},,")
+        cells = (row.get(c, "") for c in columns)
+        lines.append(",".join(v if isinstance(v, str) else repr(v) for v in cells))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -211,8 +211,7 @@ def reconstruction_report(
     fractions: tuple[float, ...] = DEFAULT_FRACTIONS,
 ) -> ReconReport:
     """Score -> normalize -> threshold -> rank -> Prec@k + mAP + diff."""
-    node_count = emb.node_count if isinstance(emb, AsymEmbedding) else emb.node_count
-    if node_count != g.node_count:
+    if emb.node_count != g.node_count:
         raise ValueError("embedding and graph node counts differ")
     if g.node_count < 2:
         preds = RankedPredictions(

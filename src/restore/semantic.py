@@ -45,9 +45,9 @@ class SemanticReport:
     per_hop: dict[int, float] = field(default_factory=dict)
 
 
-def default_label_mapper(word: str) -> str:
+def default_label_mapper(word: str, prefix: str = "/c/en/") -> str:
     """ConceptNet-style node label for a bare word."""
-    return "/c/en/" + word.strip().lower().replace(" ", "_")
+    return prefix + word.strip().lower().replace(" ", "_")
 
 
 def load_similarity_dataset(

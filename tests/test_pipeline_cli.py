@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 from pathlib import Path
 
@@ -152,6 +154,9 @@ class TestCliRuns:
         timings = json.loads((out / "timings.json").read_text())
         recon_keys = set(report["reconstruction"]["cells"])
         assert recon_keys <= set(timings["reconstruct"])
+        for stage in ("extract", "embed", "reconstruct", "semantic"):
+            assert "_stage_total" in timings[stage]
+            assert any(key.count("|h") == 1 for key in timings[stage]), stage
 
     def test_recon_csv_table_shape(self, tmp_path):
         manifest = write_world(tmp_path, algorithms=("hope",))
@@ -291,6 +296,21 @@ dim_schedule = 1:4,2:4,3:4
         assert cli_main(["extract"]) == 1  # missing --config
         assert cli_main(["no-such-command", "--config", "x"]) == 1
         assert cli_main(["extract", "--config", str(tmp_path / "missing.cfg")]) == 1
+        capsys.readouterr()
+        manifest = write_world(tmp_path, extra="epochs = many\n")
+        out = tmp_path / "out"
+        assert cli_main(["extract", "--config", str(manifest), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("restore: error: ") and "epochs" in err and "many" in err
+
+    def test_unknown_manifest_key_names_its_line(self, tmp_path, capsys):
+        manifest = write_world(tmp_path, extra="node2vec.walk_lenght = 8\n")
+        line = len(manifest.read_text().splitlines())
+        out = tmp_path / "out"
+        assert cli_main(["extract", "--config", str(manifest), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"run.cfg:{line}" in err and "node2vec.walk_lenght" in err
+        assert not (out / "cells.json").exists()
 
     def test_total_failure_exit_code(self, tmp_path):
         (tmp_path / "empty.tsv").write_text("")
@@ -331,6 +351,10 @@ dim_schedule = 1:4,2:4,3:4
         assert report["config"]["threshold"] == 0.25
         any_cell = next(iter(report["reconstruction"]["cells"].values()))
         assert any_cell["threshold"] == 0.25
+        loaded = load_manifest(manifest)
+        cfg = config_from_manifest(loaded, out, graph_format="tsv_kgtk")
+        assert cfg.manifest.graph_format == "tsv_kgtk"
+        assert loaded.graph_format == "tsv3"
 
     def test_workers_do_not_change_results(self, tmp_path, monkeypatch):
         manifest = write_world(tmp_path)
@@ -339,3 +363,17 @@ dim_schedule = 1:4,2:4,3:4
         monkeypatch.setenv("RESTORE_WORKERS", "4")
         assert cli_main(["run-all", "--config", str(manifest), "--output", str(out2)]) == 0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def test_benchmark_traced_names_resolve():
+    """Every (module, attribute) the benchmark tracer patches is a callable in `restore`."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"))
+    patches = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PATCHES"]
+    )
+    assert patches
+    for module_name, attr, _ in patches:
+        module = importlib.import_module(f"restore.{module_name}")
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
