@@ -14,6 +14,7 @@ import numpy as np
 
 from .factorization import AsymEmbedding, EmbeddingMatrix
 
+EMB_FORMATS = ("binary", "text")
 _MAGIC = "RESTORE-EMB 1"
 _DATA_MARK = b"\nDATA\n"
 
@@ -38,7 +39,7 @@ def _header(emb: EmbeddingMatrix | AsymEmbedding, mode: str) -> str:
 def write_embedding(
     emb: EmbeddingMatrix | AsymEmbedding, path: str | Path, mode: str = "binary"
 ) -> None:
-    if mode not in ("binary", "text"):
+    if mode not in EMB_FORMATS:
         raise ValueError(f"unknown embedding file mode {mode!r}")
     matrices = (
         [emb.source.vectors, emb.target.vectors]

@@ -7,14 +7,9 @@ neighbor lookups can binary-search and kernels can consume the raw arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-
-
-class NodeId(NamedTuple):
-    label: str
-    index: int
 
 
 @dataclass
@@ -41,25 +36,14 @@ class GraphDiff:
     missing_edge_list: list[tuple[str, str]] = field(default_factory=list)
 
 
-def _build_csr(n: int, pairs: np.ndarray, by_src: bool) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays from an (m, 2) index-pair array; rows come out sorted."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    if pairs.shape[0] == 0:
-        return indptr, np.zeros(0, dtype=np.int64)
-    key, val = (pairs[:, 0], pairs[:, 1]) if by_src else (pairs[:, 1], pairs[:, 0])
-    order = np.lexsort((val, key))
-    key, val = key[order], val[order]
-    counts = np.bincount(key, minlength=n)
-    indptr[1:] = np.cumsum(counts)
-    return indptr, val.astype(np.int64, copy=True)
-
-
 class DiGraph:
     """Directed, unweighted graph with a bijective label/index mapping.
 
-    Use :func:`build_graph` for the public construction path; the raw
-    constructor trusts its inputs and also admits empty graphs, which the
-    reconstruction diff needs.
+    The constructor is the one place where edges are normalised: it takes
+    (src, dst) index pairs in any order, drops self-loops (reconstruction
+    never scores the diagonal) and collapses repeated pairs. It admits empty
+    graphs, which the reconstruction diff needs; :func:`build_graph` is the
+    public path from labels.
     """
 
     __slots__ = ("_labels", "_index", "out_indptr", "out_indices", "in_indptr", "in_indices")
@@ -71,8 +55,17 @@ class DiGraph:
             raise ValueError("duplicate node labels")
         n = len(self._labels)
         pairs = np.asarray(edge_pairs, dtype=np.int64).reshape(-1, 2)
-        self.out_indptr, self.out_indices = _build_csr(n, pairs, by_src=True)
-        self.in_indptr, self.in_indices = _build_csr(n, pairs, by_src=False)
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            raise ValueError("edge endpoint outside the node index range")
+        # src * n + dst sorts edges by source, then target; np.unique is
+        # avoided because its hash path is slow on millions of keys
+        keys = np.sort((pairs[:, 0] * n + pairs[:, 1])[pairs[:, 0] != pairs[:, 1]])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        src, self.out_indices = np.divmod(keys, max(n, 1))
+        self.out_indptr = np.searchsorted(src, np.arange(n + 1))
+        by_dst = np.argsort(self.out_indices, kind="stable")  # keeps sources sorted per row
+        self.in_indices = src[by_dst]
+        self.in_indptr = np.searchsorted(self.out_indices[by_dst], np.arange(n + 1))
 
     # -- basic shape -------------------------------------------------
 
@@ -87,10 +80,6 @@ class DiGraph:
     @property
     def labels(self) -> tuple[str, ...]:
         return self._labels
-
-    def node_ids(self) -> Iterator[NodeId]:
-        for i, lab in enumerate(self._labels):
-            yield NodeId(lab, i)
 
     def index_of(self, label: str) -> int:
         try:
@@ -117,20 +106,21 @@ class DiGraph:
         pos = np.searchsorted(row, j)
         return bool(pos < row.shape[0] and row[pos] == j)
 
+    def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sources, targets) of every edge, sorted by source, then target."""
+        return np.repeat(np.arange(self.node_count), np.diff(self.out_indptr)), self.out_indices
+
     def edges(self) -> Iterator[tuple[int, int]]:
-        for i in range(self.node_count):
-            for j in self.out_neighbors(i):
-                yield i, int(j)
+        src, dst = self.edge_array()
+        return zip(src.tolist(), dst.tolist())
 
     def edge_label_pairs(self) -> list[tuple[str, str]]:
         return [(self._labels[i], self._labels[j]) for i, j in self.edges()]
 
-    def adjacency_matrix(self) -> np.ndarray:
+    def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
         """Dense 0/1 adjacency, row i = out-edges of node i."""
-        n = self.node_count
-        a = np.zeros((n, n), dtype=np.float64)
-        for i in range(n):
-            a[i, self.out_neighbors(i)] = 1.0
+        a = np.zeros((self.node_count, self.node_count), dtype=dtype)
+        a[self.edge_array()] = 1
         return a
 
 
@@ -157,30 +147,17 @@ def graph_from_labeled_edges(
     """Deduplicated graph from (src, dst) label pairs plus `extra_nodes`.
 
     Unlike build_graph it admits isolated nodes and an empty edge set.
+    Indices are assigned in first-seen order, source before target.
     """
-    labels: list[str] = []
     index: dict[str, int] = {}
-
-    def intern(label: str) -> int:
-        got = index.get(label)
-        if got is None:
-            got = len(labels)
-            index[label] = got
-            labels.append(label)
-        return got
-
-    pair_set: set[tuple[int, int]] = set()
-    for src, dst in edges:
-        i, j = intern(src), intern(dst)
-        if i != j:
-            pair_set.add((i, j))
+    pairs = [(index.setdefault(src, len(index)), index.setdefault(dst, len(index)))
+             for src, dst in edges]
     for label in extra_nodes:
-        intern(label)
-    pairs = np.array(sorted(pair_set), dtype=np.int64).reshape(-1, 2)
-    return DiGraph(labels, pairs)
+        index.setdefault(label, len(index))
+    return DiGraph(list(index), pairs)
 
 
-def khop_ego_subgraph(g: DiGraph, center: str | NodeId, hops: int) -> DiGraph:
+def khop_ego_subgraph(g: DiGraph, center: str, hops: int) -> DiGraph:
     """Induced subgraph over nodes within `hops` undirected steps of center.
 
     Expansion ignores edge direction (both in- and out-neighbors count as one
@@ -189,16 +166,15 @@ def khop_ego_subgraph(g: DiGraph, center: str | NodeId, hops: int) -> DiGraph:
     """
     if hops < 1:
         raise ValueError("hops must be >= 1")
-    label = center.label if isinstance(center, NodeId) else center
-    c = g.index_of(label)
+    c = g.index_of(center)
 
     seen = {c}
     frontier = {c}
     for _ in range(hops):
         nxt: set[int] = set()
         for u in frontier:
-            nxt.update(int(v) for v in g.out_neighbors(u))
-            nxt.update(int(v) for v in g.in_neighbors(u))
+            nxt.update(g.out_neighbors(u).tolist())
+            nxt.update(g.in_neighbors(u).tolist())
         nxt -= seen
         if not nxt:
             break
@@ -209,12 +185,12 @@ def khop_ego_subgraph(g: DiGraph, center: str | NodeId, hops: int) -> DiGraph:
     remap = {old: new for new, old in enumerate(keep)}
     labels = [g.label_of(i) for i in keep]
     pairs = [
-        (remap[i], remap[int(j)])
+        (remap[i], remap[j])
         for i in keep
-        for j in g.out_neighbors(i)
-        if int(j) in remap
+        for j in g.out_neighbors(i).tolist()
+        if j in remap
     ]
-    return DiGraph(labels, np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2))
+    return DiGraph(labels, pairs)
 
 
 def graph_stats(g: DiGraph) -> GraphStats:
@@ -258,8 +234,8 @@ def graph_diff(original: DiGraph, reconstructed: DiGraph) -> GraphDiff:
 
     def edge_keys(g: DiGraph, to_rank: np.ndarray) -> np.ndarray:
         # sorted and, since a DiGraph holds each edge once, unique
-        src = np.repeat(np.arange(g.node_count), np.diff(g.out_indptr))
-        return np.sort(to_rank[src] * m + to_rank[g.out_indices])
+        src, dst = g.edge_array()
+        return np.sort(to_rank[src] * m + to_rank[dst])
 
     orig_keys = edge_keys(original, rank[: original.node_count])
     recon_keys = edge_keys(reconstructed, rank[to_union])
@@ -289,15 +265,13 @@ def gen_synthetic(kind: str, n: int, seed: int) -> DiGraph:
     if kind == "path":
         pairs = [(i, i + 1) for i in range(n - 1)]
     elif kind == "cycle":
-        pairs = [(i, (i + 1) % n) for i in range(n)] if n > 1 else []
+        pairs = [(i, (i + 1) % n) for i in range(n)]
     elif kind == "star":
         pairs = [(0, i) for i in range(1, n)]
     elif kind == "erdos":
         rng = np.random.default_rng(seed)
         p = min(1.0, 4.0 / max(1, n - 1))
-        mask = rng.random((n, n)) < p
-        np.fill_diagonal(mask, False)
-        pairs = [(int(i), int(j)) for i, j in np.argwhere(mask)]
+        pairs = np.argwhere(rng.random((n, n)) < p)
     elif kind == "scale_free":
         # Preferential attachment: each new node sends 3 edges toward existing
         # nodes sampled by degree, seeded by a small cycle so every node keeps
@@ -307,7 +281,7 @@ def gen_synthetic(kind: str, n: int, seed: int) -> DiGraph:
         m = 3
         core = m + 1
         if n <= core:
-            pairs = [(i, (i + 1) % n) for i in range(n)] if n > 1 else []
+            pairs = [(i, (i + 1) % n) for i in range(n)]
         else:
             pairs = [(i, (i + 1) % core) for i in range(core)]
             degree = np.zeros(n, dtype=np.float64)
@@ -322,5 +296,4 @@ def gen_synthetic(kind: str, n: int, seed: int) -> DiGraph:
                     degree[t] += 1.0
     else:
         raise ValueError(f"unknown synthetic kind: {kind!r}")
-    pairs = sorted(set((i, j) for i, j in pairs if i != j))
-    return DiGraph(labels, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    return DiGraph(labels, pairs)

@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from .graph import DiGraph, NodeId, graph_from_labeled_edges
+import numpy as np
+
+from .graph import DiGraph, graph_from_labeled_edges
 from .semantic import default_label_mapper
 
 EDGE_FORMATS = ("tsv3", "tsv_kgtk")
@@ -103,15 +105,11 @@ def graph_from_records(parsed: ParsedEdgeList) -> DiGraph:
 
 def write_edge_list(g: DiGraph, path: str | Path, relation: str = "-") -> None:
     """TSV3 emitter; isolated nodes are kept via '# node:' comment lines."""
-    lines = []
-    incident: set[int] = set()
-    for i, j in g.edges():
-        incident.add(i)
-        incident.add(j)
-        lines.append(f"{g.label_of(i)}\t{relation}\t{g.label_of(j)}")
-    for i in range(g.node_count):
-        if i not in incident:
-            lines.append(f"{_NODE_COMMENT}{g.label_of(i)}")
+    labels = g.labels
+    lines = [f"{labels[i]}\t{relation}\t{labels[j]}" for i, j in g.edges()]
+    incident = np.zeros(g.node_count, dtype=bool)
+    incident[np.concatenate(g.edge_array())] = True
+    lines += [f"{_NODE_COMMENT}{labels[i]}" for i in np.flatnonzero(~incident).tolist()]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
@@ -164,6 +162,9 @@ def load_manifest(path: str | Path) -> Manifest:
         if key == "graph_path":
             graph_path = str((base / value).resolve()) if not Path(value).is_absolute() else value
         elif key == "graph_format":
+            if value not in EDGE_FORMATS:
+                raise ValueError(f"{path}:{line_no}: bad value for graph_format: "
+                                 f"{value!r} is not one of {EDGE_FORMATS}")
             graph_format = value
         elif key == "dataset":
             fields = value.split()
@@ -211,8 +212,8 @@ def resolve_centers(
     dataset_vocab: Mapping[str, set[str]],
     graph: DiGraph,
     label_mapper: Callable[[str], str] = default_label_mapper,
-) -> list[NodeId]:
-    """Centers as NodeIds: either validated explicit labels, or the mapped
+) -> list[str]:
+    """Center labels: either validated explicit labels, or the mapped
     dataset vocabulary intersected with the graph, deduplicated and sorted."""
     if manifest.center_mode == "explicit" or manifest.center_labels:
         missing = [lab for lab in manifest.center_labels if not graph.has_label(lab)]
@@ -228,4 +229,4 @@ def resolve_centers(
         labels = sorted(lab for lab in mapped if graph.has_label(lab))
     if not labels:
         raise ValueError("no centers resolved: dataset vocabulary does not overlap the graph")
-    return [NodeId(lab, graph.index_of(lab)) for lab in labels]
+    return labels

@@ -73,20 +73,13 @@ def _jacobi_sweeps(a, v, tol, max_sweeps):
     return max_sweeps
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its first significant component is positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        scale = np.abs(col).max()
-        if scale == 0.0:
-            continue
-        for i in range(col.shape[0]):
-            if abs(col[i]) > 1e-12 * scale:
-                if col[i] < 0.0:
-                    out[:, j] = -col
-                break
-    return out
+def _column_signs(vectors: np.ndarray) -> np.ndarray:
+    """±1 per column, so that multiplying makes its first significant
+    component positive; an all-zero column keeps +1."""
+    mag = np.abs(vectors)
+    first = (mag > 1e-12 * mag.max(axis=0, initial=0.0)).argmax(axis=0)
+    lead = vectors[first, np.arange(vectors.shape[1])]
+    return np.where(lead < 0.0, -1.0, 1.0)
 
 
 def _sym_eig_full(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +100,7 @@ def _sym_eig_full(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         order = np.argsort(vals, kind="stable")
         vals = vals[order]
         vecs = vecs[:, order]
-    return vals, _fix_signs(vecs)
+    return vals, vecs * _column_signs(vecs)
 
 
 def _check_symmetric(a: np.ndarray) -> None:
@@ -167,18 +160,8 @@ def truncated_svd(a: np.ndarray, k: int) -> SvdResult:
                 u[:, i] = _orthonormal_fill(u[:, :i], m)
 
     # Deterministic signs on V, mirrored into U so the product is unchanged.
-    for j in range(k):
-        col = v[:, j]
-        scale = np.abs(col).max()
-        if scale == 0.0:
-            continue
-        for i in range(col.shape[0]):
-            if abs(col[i]) > 1e-12 * scale:
-                if col[i] < 0.0:
-                    v[:, j] = -v[:, j]
-                    u[:, j] = -u[:, j]
-                break
-    return SvdResult(u=u, sigma=sigma, v=v)
+    signs = _column_signs(v)
+    return SvdResult(u=u * signs, sigma=sigma, v=v * signs)
 
 
 def _orthonormal_fill(existing: np.ndarray, m: int) -> np.ndarray:

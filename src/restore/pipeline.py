@@ -22,7 +22,7 @@ from typing import Callable, Sequence, get_type_hints
 import numpy as np
 
 from .dot import render_dot
-from .emb_io import read_embedding, write_embedding
+from .emb_io import EMB_FORMATS, read_embedding, write_embedding
 from .factorization import AsymEmbedding, clamp_dim, hope_embed, lap_embed, lle_embed
 from .graph import DiGraph, graph_from_labeled_edges, khop_ego_subgraph
 from .ingest import (
@@ -34,9 +34,10 @@ from .ingest import (
     write_edge_list,
 )
 from .randomwalk import Node2VecConfig, node2vec_embed
-from .reconstruct import DEFAULT_FRACTIONS, reconstruction_report
+from .reconstruct import DEFAULT_FRACTIONS, SCORERS, reconstruction_report
 from .sdne import SdneParams, sdne_train
 from .semantic import (
+    ANALOGY_MODES,
     analogy_distance,
     analogy_vocab,
     default_label_mapper,
@@ -110,6 +111,14 @@ def _parse_dim_schedule(value: str) -> dict[int, int]:
     return schedule
 
 
+def _choice(*allowed: str) -> Callable[[str], str]:
+    def cast(value: str) -> str:
+        if value not in allowed:
+            raise ValueError(f"{value!r} is not one of {allowed}")
+        return value
+    return cast
+
+
 def _option_casts() -> dict[str, Callable[[str], object]]:
     """Manifest option key -> parser, walked from the config's own fields.
 
@@ -118,7 +127,7 @@ def _option_casts() -> dict[str, Callable[[str], object]]:
     cell seeds. None of these is an option key.
     """
     casts: dict[str, Callable[[str], object]] = {"dim_schedule": _parse_dim_schedule}
-    casts.update({f"scorer.{algo}": str for algo in ALGORITHMS})
+    casts.update({f"scorer.{algo}": _choice(*SCORERS) for algo in ALGORITHMS})
     for name, hint in get_type_hints(PipelineConfig).items():
         if hint in (int, float, str) and name not in ("seed", "workers"):
             casts[name] = hint
@@ -127,6 +136,7 @@ def _option_casts() -> dict[str, Callable[[str], object]]:
                 f"{name}.{sub}": cast for sub, cast in get_type_hints(hint).items()
                 if sub not in ("epochs", "seed")
             })
+    casts.update(emb_format=_choice(*EMB_FORMATS), analogy_mode=_choice(*ANALOGY_MODES))
     return casts
 
 
@@ -281,7 +291,7 @@ def run_extract(cfg: PipelineConfig) -> list[dict]:
     if manifest.center_mode == "explicit" or manifest.center_labels:
         labels = list(dict.fromkeys(manifest.center_labels))
     else:
-        labels = [c.label for c in resolve_centers(manifest, vocab, graph, cfg.label_mapper())]
+        labels = resolve_centers(manifest, vocab, graph, cfg.label_mapper())
     centers = [label for label in labels if graph.has_label(label)]
     if not centers:
         raise PipelineError("no explicit centers resolved against the graph")

@@ -184,10 +184,8 @@ def corpus_pairs(corpus: WalkCorpus, context_size: int) -> tuple[np.ndarray, np.
 
 def _noise_distribution(corpus: WalkCorpus, node_count: int) -> np.ndarray:
     """Unigram corpus frequency raised to 3/4, the standard SGNS noise."""
-    counts = np.zeros(node_count, dtype=np.float64)
-    for walk in corpus.walks:
-        counts += np.bincount(walk, minlength=node_count)
-    powered = counts ** 0.75
+    steps = np.concatenate([np.zeros(0, dtype=np.int64), *corpus.walks])
+    powered = np.bincount(steps, minlength=node_count).astype(np.float64) ** 0.75
     total = powered.sum()
     if total == 0.0:
         return np.full(node_count, 1.0 / node_count)

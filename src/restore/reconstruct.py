@@ -118,16 +118,9 @@ def predict_edges(scores: ScoreMatrix, threshold: float = 0.5) -> RankedPredicti
     return RankedPredictions(src=src[order], dst=dst[order], score=picked[order])
 
 
-def _adjacency(g: DiGraph) -> np.ndarray:
-    """Dense boolean adjacency, row i = out-edges of node i."""
-    a = np.zeros((g.node_count, g.node_count), dtype=bool)
-    a[np.repeat(np.arange(g.node_count), np.diff(g.out_indptr)), g.out_indices] = True
-    return a
-
-
 def _hits(preds: RankedPredictions, observed: DiGraph) -> np.ndarray:
     """hits[r] is True when the rank-r prediction is an observed edge."""
-    return _adjacency(observed)[preds.src, preds.dst]
+    return observed.adjacency_matrix(bool)[preds.src, preds.dst]
 
 
 def precision_at_k(
@@ -188,19 +181,15 @@ def predictions_to_graph(preds: RankedPredictions, labels: tuple[str, ...]) -> D
     Nodes are numbered in order of first appearance, source before target,
     as graph_from_labeled_edges numbers them; self-pairs add the node only.
     """
-    # np.unique is avoided: its hash path is slow on millions of keys
+    # np.unique is avoided: its hash path is slow on millions of node ids
     seen = np.column_stack((preds.src, preds.dst)).ravel()
     first = np.full(len(labels), seen.shape[0])
     np.minimum.at(first, seen, np.arange(seen.shape[0]))
     nodes = np.flatnonzero(first < seen.shape[0])
     nodes = nodes[np.argsort(first[nodes])]
-    m = nodes.shape[0]
     renumber = np.zeros(len(labels), dtype=np.int64)
-    renumber[nodes] = np.arange(m)
-    keep = preds.src != preds.dst
-    keys = np.sort(renumber[preds.src[keep]] * m + renumber[preds.dst[keep]])
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    return DiGraph([labels[i] for i in nodes.tolist()], np.column_stack((keys // m, keys % m)))
+    renumber[nodes] = np.arange(nodes.shape[0])
+    return DiGraph([labels[i] for i in nodes.tolist()], renumber[seen].reshape(-1, 2))
 
 
 def reconstruction_report(

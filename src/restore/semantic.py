@@ -16,6 +16,8 @@ import numpy as np
 
 from .graph import DiGraph
 
+ANALOGY_MODES = ("pairwise", "offset")
+
 
 @dataclass
 class SimilarityPair:
@@ -188,7 +190,7 @@ def analogy_distance(
 
     A quad is evaluated only when all four words resolve with one dimension.
     """
-    if mode not in ("pairwise", "offset"):
+    if mode not in ANALOGY_MODES:
         raise ValueError(f"unknown analogy mode {mode!r}")
     distances: list[float] = []
     evaluated = 0

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import oracle_graph_diff
 from restore.graph import (
+    DiGraph,
     build_graph,
     gen_synthetic,
     graph_diff,
@@ -16,6 +17,25 @@ def mirror_consistent(g):
     out_pairs = {(i, int(j)) for i in range(g.node_count) for j in g.out_neighbors(i)}
     in_pairs = {(int(j), i) for i in range(g.node_count) for j in g.in_neighbors(i)}
     return out_pairs == in_pairs
+
+
+def test_constructor_normalises_pairs():
+    # unsorted, with repeats and self-loops
+    pairs = [(2, 0), (0, 3), (2, 2), (0, 1), (2, 0), (3, 3), (0, 3), (1, 2)]
+    g = DiGraph(["a", "b", "c", "d"], pairs)
+    assert g.edge_count == 4
+    assert [g.out_neighbors(i).tolist() for i in range(4)] == [[1, 3], [2], [0], []]
+    assert [g.in_neighbors(i).tolist() for i in range(4)] == [[2], [0], [1], [0]]
+    assert mirror_consistent(g)
+    src, dst = g.edge_array()
+    assert list(zip(src.tolist(), dst.tolist())) == list(g.edges()) == [(0, 1), (0, 3), (1, 2), (2, 0)]
+    assert g.adjacency_matrix(bool).sum() == 4
+    empty = DiGraph([], np.zeros((0, 2), dtype=np.int64))
+    assert (empty.node_count, empty.edge_count) == (0, 0)
+    assert empty.out_indptr.tolist() == empty.in_indptr.tolist() == [0]
+    assert [a.shape for a in empty.edge_array()] == [(0,), (0,)]
+    with pytest.raises(ValueError, match="range"):
+        DiGraph(["a"], [(0, 1)])
 
 
 def test_build_basic():

@@ -297,11 +297,17 @@ dim_schedule = 1:4,2:4,3:4
         assert cli_main(["no-such-command", "--config", "x"]) == 1
         assert cli_main(["extract", "--config", str(tmp_path / "missing.cfg")]) == 1
         capsys.readouterr()
-        manifest = write_world(tmp_path, extra="epochs = many\n")
-        out = tmp_path / "out"
-        assert cli_main(["extract", "--config", str(manifest), "--output", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("restore: error: ") and "epochs" in err and "many" in err
+        # a bad value is a usage error naming its manifest line, before any stage runs
+        for key, value in [("epochs", "many"), ("graph_format", "bogus"), ("emb_format", "bogus"),
+                           ("analogy_mode", "bogus"), ("scorer.lap", "bogus")]:
+            manifest = write_world(tmp_path, extra=f"{key} = {value}\n")
+            line = len(manifest.read_text().splitlines())
+            out = tmp_path / f"out_{key}"
+            assert cli_main(["run-all", "--config", str(manifest), "--output", str(out)]) == 1, key
+            err = capsys.readouterr().err
+            assert err.startswith("restore: error: ") and f"run.cfg:{line}:" in err
+            assert key in err and value in err
+            assert not (out / "cells.json").exists()
 
     def test_unknown_manifest_key_names_its_line(self, tmp_path, capsys):
         manifest = write_world(tmp_path, extra="node2vec.walk_lenght = 8\n")
