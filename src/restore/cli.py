@@ -11,7 +11,7 @@ import logging
 import os
 import sys
 
-from .ingest import load_manifest
+from .ingest import EDGE_FORMATS, load_manifest
 from .pipeline import (
     PipelineError,
     config_from_manifest,
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dot", action="store_true", help="emit DOT renders during reconstruct")
         p.add_argument("--threshold", type=float, default=None,
                        help="override the edge prediction threshold")
-        p.add_argument("--format", choices=["tsv3", "tsv_kgtk"], default=None,
+        p.add_argument("--format", choices=EDGE_FORMATS, default=None,
                        help="override the graph edge-list format")
     return parser
 

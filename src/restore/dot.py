@@ -15,11 +15,12 @@ def _quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def render_dot(original: DiGraph, reconstructed: DiGraph, diff: GraphDiff) -> str | None:
-    """DOT source for the original/reconstructed pair, or None above the cap."""
-    if max(original.node_count, reconstructed.node_count) > DOT_NODE_CAP:
+def render_dot(original: DiGraph, diff: GraphDiff) -> str | None:
+    """DOT source for the original and its reconstruction (the original's edges
+    less the diff's missing ones, plus its added ones), or None above the cap."""
+    if original.node_count > DOT_NODE_CAP:
         return None
-    added = set(diff.added_edge_list)
+    edges = original.edge_label_pairs()
     missing = set(diff.missing_edge_list)
     lines = ["digraph reconstruction {", "  rankdir=LR;"]
 
@@ -27,19 +28,20 @@ def render_dot(original: DiGraph, reconstructed: DiGraph, diff: GraphDiff) -> st
     lines.append('    label="original";')
     for lab in original.labels:
         lines.append(f"    {_quote('o:' + lab)} [label={_quote(lab)}];")
-    for a, b in original.edge_label_pairs():
+    for a, b in edges:
         lines.append(f"    {_quote('o:' + a)} -> {_quote('o:' + b)};")
     lines.append("  }")
 
     lines.append("  subgraph cluster_reconstructed {")
     lines.append('    label="reconstructed";')
-    recon_nodes = set(reconstructed.labels) | set(original.labels)
-    for lab in sorted(recon_nodes):
+    for lab in sorted(original.labels):
         lines.append(f"    {_quote('r:' + lab)} [label={_quote(lab)}];")
-    for a, b in reconstructed.edge_label_pairs():
-        style = ' [color=red]' if (a, b) in added else ""
-        lines.append(f"    {_quote('r:' + a)} -> {_quote('r:' + b)}{style};")
-    for a, b in sorted(missing):
+    for a, b in edges:
+        if (a, b) not in missing:
+            lines.append(f"    {_quote('r:' + a)} -> {_quote('r:' + b)};")
+    for a, b in diff.added_edge_list:
+        lines.append(f"    {_quote('r:' + a)} -> {_quote('r:' + b)} [color=red];")
+    for a, b in diff.missing_edge_list:
         lines.append(f"    {_quote('r:' + a)} -> {_quote('r:' + b)} [color=red, style=dotted];")
     lines.append("  }")
     lines.append("}")

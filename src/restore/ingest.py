@@ -19,6 +19,7 @@ from .semantic import default_label_mapper
 
 EDGE_FORMATS = ("tsv3", "tsv_kgtk")
 ALGORITHMS = ("node2vec", "hope", "sdne", "lap", "lle")
+HOPS = (1, 2, 3)
 
 _MALFORMED_LIMIT = 0.01
 _NODE_COMMENT = "# node: "
@@ -129,7 +130,7 @@ class Manifest:
     option_locations: dict[str, str] = field(default_factory=dict)  # key -> "file:line"
 
     def __post_init__(self):
-        bad_hops = [h for h in self.hops if h not in (1, 2, 3)]
+        bad_hops = [h for h in self.hops if h not in HOPS]
         if bad_hops:
             raise ValueError(f"hops must be within {{1,2,3}}, got {bad_hops}")
         bad_algos = [a for a in self.algorithms if a not in ALGORITHMS]
@@ -137,17 +138,35 @@ class Manifest:
             raise ValueError(f"unknown algorithms {bad_algos}; expected subset of {ALGORITHMS}")
 
 
+def one_of(*allowed, cast: Callable[[str], object] = str) -> Callable[[str], object]:
+    def parse(value: str):
+        parsed = cast(value)
+        if parsed not in allowed:
+            raise ValueError(f"{value!r} is not one of {allowed}")
+        return parsed
+    return parse
+
+
+# the Manifest's own keys, each value checked on its line
+_MANIFEST_CASTS: dict[str, Callable[[str], object]] = {
+    "graph_format": one_of(*EDGE_FORMATS),
+    "centers": one_of("from-datasets", "explicit"),
+    "seed": int,
+    "hop": one_of(*HOPS, cast=int),
+    "algorithm": one_of(*ALGORITHMS),
+}
+
+
 def load_manifest(path: str | Path) -> Manifest:
-    """Parse the line-oriented "key = value" manifest; repeated keys make lists."""
+    """Parse the line-oriented "key = value" manifest; repeated keys make lists.
+
+    A bad value for one of the Manifest's own keys raises naming its `path:line`.
+    """
     base = Path(path).parent
     graph_path = ""
-    graph_format = "tsv3"
     datasets: dict[str, tuple[str, str]] = {}
-    center_mode = "from-datasets"
-    centers: list[str] = []
-    hops: list[int] = []
-    algorithms: list[str] = []
-    seed = 0
+    scalars: dict[str, object] = {"graph_format": "tsv3", "centers": "from-datasets", "seed": 0}
+    lists: dict[str, list] = {"center": [], "hop": [], "algorithm": []}
     options: dict[str, str] = {}
     locations: dict[str, str] = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -159,13 +178,13 @@ def load_manifest(path: str | Path) -> Manifest:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in _MANIFEST_CASTS:
+            try:
+                value = _MANIFEST_CASTS[key](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
         if key == "graph_path":
             graph_path = str((base / value).resolve()) if not Path(value).is_absolute() else value
-        elif key == "graph_format":
-            if value not in EDGE_FORMATS:
-                raise ValueError(f"{path}:{line_no}: bad value for graph_format: "
-                                 f"{value!r} is not one of {EDGE_FORMATS}")
-            graph_format = value
         elif key == "dataset":
             fields = value.split()
             if len(fields) != 3 or fields[1] not in ("similarity", "analogy"):
@@ -176,32 +195,24 @@ def load_manifest(path: str | Path) -> Manifest:
             if not Path(dpath).is_absolute():
                 dpath = str((base / dpath).resolve())
             datasets[name] = (kind, dpath)
-        elif key == "centers":
-            center_mode = value
-        elif key == "center":
-            centers.append(value)
-        elif key == "hop":
-            hops.append(int(value))
-        elif key == "algorithm":
-            algorithms.append(value)
-        elif key == "seed":
-            seed = int(value)
+        elif key in lists:
+            lists[key].append(value)
+        elif key in scalars:
+            scalars[key] = value
         else:
             options[key] = value
             locations[key] = f"{path}:{line_no}"
-    if center_mode not in ("from-datasets", "explicit"):
-        raise ValueError(f"centers must be 'from-datasets' or 'explicit', got {center_mode!r}")
     if not graph_path:
         raise ValueError(f"{path}: manifest is missing graph_path")
     return Manifest(
         graph_path=graph_path,
-        graph_format=graph_format,
+        graph_format=scalars["graph_format"],
         dataset_paths=datasets,
-        center_mode=center_mode,
-        center_labels=centers,
-        hops=hops or [1, 2, 3],
-        algorithms=algorithms or list(ALGORITHMS),
-        seed=seed,
+        center_mode=scalars["centers"],
+        center_labels=lists["center"],
+        hops=lists["hop"] or list(HOPS),
+        algorithms=lists["algorithm"] or list(ALGORITHMS),
+        seed=scalars["seed"],
         options=options,
         option_locations=locations,
     )
@@ -212,21 +223,24 @@ def resolve_centers(
     dataset_vocab: Mapping[str, set[str]],
     graph: DiGraph,
     label_mapper: Callable[[str], str] = default_label_mapper,
-) -> list[str]:
-    """Center labels: either validated explicit labels, or the mapped
-    dataset vocabulary intersected with the graph, deduplicated and sorted."""
+) -> tuple[list[str], list[str]]:
+    """(resolved, unresolved) center labels: explicit labels deduplicated in
+    manifest order and split by graph membership, or else the mapped dataset
+    vocabulary intersected with the graph, sorted. Raises if none resolves."""
     if manifest.center_mode == "explicit" or manifest.center_labels:
-        missing = [lab for lab in manifest.center_labels if not graph.has_label(lab)]
-        if missing:
-            raise ValueError(f"center labels not present in graph: {missing}")
         labels = list(dict.fromkeys(manifest.center_labels))
+        resolved = [lab for lab in labels if graph.has_label(lab)]
+        unresolved = [lab for lab in labels if not graph.has_label(lab)]
+        why = f"center labels not present in graph: {unresolved}"
     else:
         mapped = {
             label_mapper(word)
             for vocab in dataset_vocab.values()
             for word in vocab
         }
-        labels = sorted(lab for lab in mapped if graph.has_label(lab))
-    if not labels:
-        raise ValueError("no centers resolved: dataset vocabulary does not overlap the graph")
-    return labels
+        resolved = sorted(lab for lab in mapped if graph.has_label(lab))
+        unresolved = []
+        why = "dataset vocabulary does not overlap the graph"
+    if not resolved:
+        raise ValueError(f"no centers resolved: {why}")
+    return resolved, unresolved

@@ -24,11 +24,12 @@ import numpy as np
 from .dot import render_dot
 from .emb_io import EMB_FORMATS, read_embedding, write_embedding
 from .factorization import AsymEmbedding, clamp_dim, hope_embed, lap_embed, lle_embed
-from .graph import DiGraph, graph_from_labeled_edges, khop_ego_subgraph
+from .graph import DiGraph, khop_ego_subgraph
 from .ingest import (
     ALGORITHMS,
     Manifest,
     graph_from_records,
+    one_of,
     parse_edge_list,
     resolve_centers,
     write_edge_list,
@@ -107,16 +108,10 @@ def _parse_dim_schedule(value: str) -> dict[int, int]:
     schedule = {}
     for chunk in value.split(","):
         hop, _, dim = chunk.partition(":")
+        if int(dim) < 1:
+            raise ValueError(f"{value!r} gives hop {hop} dimension {dim}, below 1")
         schedule[int(hop)] = int(dim)
     return schedule
-
-
-def _choice(*allowed: str) -> Callable[[str], str]:
-    def cast(value: str) -> str:
-        if value not in allowed:
-            raise ValueError(f"{value!r} is not one of {allowed}")
-        return value
-    return cast
 
 
 def _option_casts() -> dict[str, Callable[[str], object]]:
@@ -127,7 +122,7 @@ def _option_casts() -> dict[str, Callable[[str], object]]:
     cell seeds. None of these is an option key.
     """
     casts: dict[str, Callable[[str], object]] = {"dim_schedule": _parse_dim_schedule}
-    casts.update({f"scorer.{algo}": _choice(*SCORERS) for algo in ALGORITHMS})
+    casts.update({f"scorer.{algo}": one_of(*SCORERS) for algo in ALGORITHMS})
     for name, hint in get_type_hints(PipelineConfig).items():
         if hint in (int, float, str) and name not in ("seed", "workers"):
             casts[name] = hint
@@ -136,7 +131,7 @@ def _option_casts() -> dict[str, Callable[[str], object]]:
                 f"{name}.{sub}": cast for sub, cast in get_type_hints(hint).items()
                 if sub not in ("epochs", "seed")
             })
-    casts.update(emb_format=_choice(*EMB_FORMATS), analogy_mode=_choice(*ANALOGY_MODES))
+    casts.update(emb_format=one_of(*EMB_FORMATS), analogy_mode=one_of(*ANALOGY_MODES))
     return casts
 
 
@@ -288,15 +283,9 @@ def run_extract(cfg: PipelineConfig) -> list[dict]:
     out = cfg.output_dir
     (out / "subgraphs").mkdir(parents=True, exist_ok=True)
 
-    if manifest.center_mode == "explicit" or manifest.center_labels:
-        labels = list(dict.fromkeys(manifest.center_labels))
-    else:
-        labels = resolve_centers(manifest, vocab, graph, cfg.label_mapper())
-    centers = [label for label in labels if graph.has_label(label)]
-    if not centers:
-        raise PipelineError("no explicit centers resolved against the graph")
+    centers, unresolved = resolve_centers(manifest, vocab, graph, cfg.label_mapper())
     # unresolved explicit centers become error entries, the rest proceed
-    tasks = [{"key": label, "center": label} for label in labels if not graph.has_label(label)] + [
+    tasks = [{"key": label, "center": label} for label in unresolved] + [
         {"key": f"{label}|h{hop}", "center": label, "slug": center_slug(label), "hop": hop}
         for label in centers
         for hop in manifest.hops
@@ -424,12 +413,7 @@ def run_reconstruct(cfg: PipelineConfig) -> list[dict]:
         }
         _write_json(out / "recon" / f"{stem}_{task['algorithm']}.json", payload)
         if cfg.dot:
-            # the predicted edge set is recoverable from the diff lists
-            recon_edges = (
-                set(sub.edge_label_pairs()) - set(report.diff.missing_edge_list)
-            ) | set(report.diff.added_edge_list)
-            recon_graph = graph_from_labeled_edges(sorted(recon_edges))
-            dot_src = render_dot(sub, recon_graph, report.diff)
+            dot_src = render_dot(sub, report.diff)
             if dot_src is not None:
                 (out / "dot" / f"{stem}_{task['algorithm']}.dot").write_text(dot_src)
 
@@ -456,21 +440,26 @@ def _center_vector_lookup(cfg: PipelineConfig, hop: int, algorithm: str) -> dict
     return lookup
 
 
-def run_semantic(cfg: PipelineConfig) -> list[dict]:
-    out = cfg.output_dir
-    _require(cfg, "semantic", "embeddings/embed_log.json")
-    mapper = cfg.label_mapper()
-    tasks = [
+def _semantic_tasks(cfg: PipelineConfig) -> list[dict]:
+    """One task per (dataset, hop, algorithm) of the manifest."""
+    return [
         {"key": f"{name}|h{hop}|{algo}", "dataset": name, "hop": hop, "algorithm": algo,
-         "info": info, "stem": f"{name}_h{hop}_{algo}"}
-        for name, info in sorted(load_datasets(cfg).items())
+         "stem": f"{name}_h{hop}_{algo}"}
+        for name in sorted(cfg.manifest.dataset_paths)
         for hop in cfg.manifest.hops
         for algo in cfg.manifest.algorithms
     ]
 
+
+def run_semantic(cfg: PipelineConfig) -> list[dict]:
+    out = cfg.output_dir
+    _require(cfg, "semantic", "embeddings/embed_log.json")
+    mapper = cfg.label_mapper()
+    datasets = load_datasets(cfg)
+
     def worker(task):
         lookup = _center_vector_lookup(cfg, task["hop"], task["algorithm"])
-        info = task["info"]
+        info = datasets[task["dataset"]]
         if info["kind"] == "similarity":
             rep = similarity_mean_distance(
                 info["records"], lookup, mapper, dataset_name=task["dataset"]
@@ -491,7 +480,7 @@ def run_semantic(cfg: PipelineConfig) -> list[dict]:
         }
         _write_json(out / "semantic" / f"{task['stem']}.json", payload)
 
-    return run_stage(cfg, "semantic", tasks, worker)[1]
+    return run_stage(cfg, "semantic", _semantic_tasks(cfg), worker)[1]
 
 
 # -- stage: report --------------------------------------------------------------
@@ -501,12 +490,13 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def _load_cells(directory: Path, name_field: str) -> dict[str, dict]:
-    """`<name>|h<hop>|<algorithm>` -> payload of every cell file in directory."""
+def _load_cells(directory: Path, files: dict[str, str]) -> dict[str, dict]:
+    """Cell key -> payload for each cell (key -> file name) whose file exists,
+    read in file-name order: the order the aggregate means sum in."""
     cells = {}
-    for path in sorted(directory.glob("*.json")):
-        payload = _read_json(path)
-        cells[f"{payload[name_field]}|h{payload['hop']}|{payload['algorithm']}"] = payload
+    for key, name in sorted(files.items(), key=lambda item: item[1]):
+        if (directory / name).exists():
+            cells[key] = _read_json(directory / name)
     return cells
 
 
@@ -527,8 +517,12 @@ def run_report(cfg: PipelineConfig) -> list[dict]:
     out = cfg.output_dir
     _require(cfg, "report", "cells.json", "embeddings/embed_log.json")
 
-    recon_cells = _load_cells(out / "recon", "center")
-    semantic_cells = _load_cells(out / "semantic", "dataset")
+    recon_cells = _load_cells(out / "recon", {
+        task["key"]: f"{task['stem']}_{task['algorithm']}.json" for task in _cell_tasks(cfg)
+    })
+    semantic_cells = _load_cells(out / "semantic", {
+        task["key"]: f"{task['stem']}.json" for task in _semantic_tasks(cfg)
+    })
     errors: list[dict] = []
     for stage in STAGES:
         path = out / f"errors_{stage}.json"

@@ -46,9 +46,6 @@ class MlpStack:
     def bottleneck_index(self) -> int:
         return (len(self.layer_dims) - 1) // 2
 
-    def parameter_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
 
 def hidden_schedule(d: int) -> tuple[int, int]:
     """Hidden widths (mid, bottleneck): (50, d) while d fits under the default

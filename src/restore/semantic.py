@@ -8,7 +8,7 @@ skipped and counted, never imputed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -44,7 +44,6 @@ class SemanticReport:
     pairs_skipped: int
     mean_distance: float
     mode: str | None = None
-    per_hop: dict[int, float] = field(default_factory=dict)
 
 
 def default_label_mapper(word: str, prefix: str = "/c/en/") -> str:
@@ -138,14 +137,6 @@ def euclidean_distance(y1: np.ndarray, y2: np.ndarray) -> float:
     return math.sqrt(float(diff @ diff))
 
 
-def _resolve(
-    word: str,
-    vectors: Mapping[str, np.ndarray],
-    label_mapper: Callable[[str], str],
-) -> np.ndarray | None:
-    return vectors.get(label_mapper(word))
-
-
 def similarity_mean_distance(
     pairs: Sequence[SimilarityPair],
     vectors: Mapping[str, np.ndarray],
@@ -157,8 +148,8 @@ def similarity_mean_distance(
     distances: list[float] = []
     skipped = 0
     for pair in pairs:
-        va = _resolve(pair.word_a, vectors, label_mapper)
-        vb = _resolve(pair.word_b, vectors, label_mapper)
+        va = vectors.get(label_mapper(pair.word_a))
+        vb = vectors.get(label_mapper(pair.word_b))
         if va is None or vb is None or va.shape != vb.shape:
             skipped += 1
             continue
@@ -196,7 +187,7 @@ def analogy_distance(
     evaluated = 0
     skipped = 0
     for quad in quads:
-        vs = [_resolve(w, vectors, label_mapper) for w in quad.words()]
+        vs = [vectors.get(label_mapper(w)) for w in quad.words()]
         if any(v is None for v in vs) or len({v.shape for v in vs}) != 1:
             skipped += 1
             continue

@@ -138,13 +138,18 @@ class TestResolveCenters:
     def test_explicit_present(self):
         g = graph_from_labeled_edges([("/c/en/smartphone", "/c/en/telephone")])
         m = Manifest(graph_path="x", center_mode="explicit", center_labels=["/c/en/smartphone"])
-        centers = resolve_centers(m, {}, g)
-        assert centers == ["/c/en/smartphone"]
+        assert resolve_centers(m, {}, g) == (["/c/en/smartphone"], [])
+
+    def test_explicit_split_in_manifest_order(self):
+        g = graph_from_labeled_edges([("a", "b"), ("b", "c")])
+        m = Manifest(graph_path="x", center_mode="explicit",
+                     center_labels=["c", "ghost", "a", "c", "ghost"])
+        assert resolve_centers(m, {}, g) == (["c", "a"], ["ghost"])
 
     def test_explicit_absent_names_label(self):
         g = graph_from_labeled_edges([("a", "b")])
         m = Manifest(graph_path="x", center_mode="explicit", center_labels=["ghost"])
-        with pytest.raises(ValueError, match="ghost"):
+        with pytest.raises(ValueError, match="no centers resolved.*ghost"):
             resolve_centers(m, {}, g)
 
     def test_from_datasets_intersection(self):
@@ -153,8 +158,7 @@ class TestResolveCenters:
         )
         m = Manifest(graph_path="x")
         vocab = {"sim": {"cat", "unicorn"}, "an": {"dog"}}
-        centers = resolve_centers(m, vocab, g)
-        assert centers == ["/c/en/cat", "/c/en/dog"]
+        assert resolve_centers(m, vocab, g) == (["/c/en/cat", "/c/en/dog"], [])
 
     def test_empty_resolution_errors(self):
         g = graph_from_labeled_edges([("a", "b")])

@@ -299,10 +299,12 @@ dim_schedule = 1:4,2:4,3:4
         capsys.readouterr()
         # a bad value is a usage error naming its manifest line, before any stage runs
         for key, value in [("epochs", "many"), ("graph_format", "bogus"), ("emb_format", "bogus"),
-                           ("analogy_mode", "bogus"), ("scorer.lap", "bogus")]:
+                           ("analogy_mode", "bogus"), ("scorer.lap", "bogus"), ("hop", "x"),
+                           ("seed", "x"), ("hop", "4"), ("algorithm", "foo"),
+                           ("centers", "bogus"), ("dim_schedule", "1:0,2:2")]:
             manifest = write_world(tmp_path, extra=f"{key} = {value}\n")
             line = len(manifest.read_text().splitlines())
-            out = tmp_path / f"out_{key}"
+            out = tmp_path / f"out_{key}_{value}"
             assert cli_main(["run-all", "--config", str(manifest), "--output", str(out)]) == 1, key
             err = capsys.readouterr().err
             assert err.startswith("restore: error: ") and f"run.cfg:{line}:" in err
@@ -317,6 +319,37 @@ dim_schedule = 1:4,2:4,3:4
         err = capsys.readouterr().err
         assert f"run.cfg:{line}" in err and "node2vec.walk_lenght" in err
         assert not (out / "cells.json").exists()
+
+    def test_unresolved_explicit_center_is_one_cell_error(self, tmp_path):
+        (tmp_path / "graph.tsv").write_text(TOY_GRAPH)
+        manifest = tmp_path / "run.cfg"
+        body = f"graph_path = {tmp_path / 'graph.tsv'}\ncenters = explicit\nhop = 1\nalgorithm = lap\n"
+        manifest.write_text(body + "center = /c/en/cat\ncenter = /c/en/ghost\ncenter = /c/en/cat\n")
+        out = tmp_path / "out"
+        assert cli_main(["run-all", "--config", str(manifest), "--output", str(out)]) == 3
+        assert json.loads((out / "errors_extract.json").read_text()) == [{
+            "cell": "/c/en/ghost", "stage": "extract",
+            "error": "center label not present in graph: '/c/en/ghost'",
+        }]
+        report = json.loads((out / "report.json").read_text())
+        assert list(report["reconstruction"]["cells"]) == ["/c/en/cat|h1|lap"]
+        manifest.write_text(body + "center = /c/en/ghost\n")
+        assert cli_main(["run-all", "--config", str(manifest), "--output", str(tmp_path / "o2")]) == 2
+
+    def test_report_ignores_cells_outside_cells_json(self, tmp_path):
+        manifest = write_world(tmp_path, algorithms=("lap",))
+        out = tmp_path / "out"
+        assert cli_main(["run-all", "--config", str(manifest), "--output", str(out)]) == 0
+        before = (out / "report.json").read_bytes()
+        # leftovers of an earlier run under another center list
+        recon = json.loads(next((out / "recon").glob("*.json")).read_text())
+        recon.update(center="/c/en/stray", map=0.0)
+        (out / "recon" / "stray_h1_lap.json").write_text(json.dumps(recon))
+        semantic = json.loads(next((out / "semantic").glob("*.json")).read_text())
+        semantic.update(dataset="stray", mean_distance=99.0)
+        (out / "semantic" / "stray_h1_lap.json").write_text(json.dumps(semantic))
+        assert cli_main(["report", "--config", str(manifest), "--output", str(out)]) == 0
+        assert (out / "report.json").read_bytes() == before
 
     def test_total_failure_exit_code(self, tmp_path):
         (tmp_path / "empty.tsv").write_text("")
