@@ -1,14 +1,12 @@
 """Command-line front end for the extract/embed/reconstruct/semantic/report pipeline.
 
 Exit codes: 0 success, 1 usage error, 2 total pipeline failure, 3 partial
-failure (the per-cell error ledger is non-empty). RESTORE_WORKERS overrides
---workers.
+failure (the per-cell error ledger is non-empty).
 """
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 
 from .ingest import EDGE_FORMATS, load_manifest
@@ -71,23 +69,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    workers = args.workers
-    env_workers = os.environ.get("RESTORE_WORKERS")
-    if env_workers:
-        try:
-            workers = int(env_workers)
-        except ValueError:
-            print(f"restore: error: RESTORE_WORKERS must be an integer, got {env_workers!r}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-
     try:
         cfg = config_from_manifest(
             load_manifest(args.config),
             output_dir=args.output,
             seed=args.seed,
             threshold=args.threshold,
-            workers=workers,
+            workers=args.workers,
             dot=args.dot,
             graph_format=args.format,
         )
@@ -98,10 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     stage = _STAGES[args.command]
     try:
         errors = stage(cfg)
-    except PipelineError as exc:
-        print(f"restore: pipeline failure: {exc}", file=sys.stderr)
-        return EXIT_TOTAL_FAILURE
-    except (OSError, ValueError) as exc:
+    except (PipelineError, OSError, ValueError) as exc:
         print(f"restore: pipeline failure: {exc}", file=sys.stderr)
         return EXIT_TOTAL_FAILURE
     if errors:

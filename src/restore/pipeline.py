@@ -90,6 +90,11 @@ class PipelineConfig:
     workers: int = 1
     dot: bool = False
 
+    def __post_init__(self):
+        # the top-level epochs is the one source of both trainers' epochs
+        self.node2vec = replace(self.node2vec, epochs=self.epochs)
+        self.sdne = replace(self.sdne, epochs=self.epochs)
+
     def label_mapper(self) -> Callable[[str], str]:
         return partial(default_label_mapper, prefix=self.label_prefix)
 
@@ -98,30 +103,40 @@ class PipelineConfig:
         eff = asdict(self)
         for name in ("manifest", "output_dir", "workers", "dot"):
             del eff[name]
-        del eff["node2vec"]["seed"]  # each cell trains under its own cell seed
         eff["dim_schedule"] = {str(k): v for k, v in sorted(self.dim_schedule.items())}
         eff["prec_fractions"] = list(self.prec_fractions)
         return eff
 
 
-def _parse_dim_schedule(value: str) -> dict[int, int]:
+def _parse_dim_schedule(value: str, hops: Sequence[int]) -> dict[int, int]:
     schedule = {}
     for chunk in value.split(","):
         hop, _, dim = chunk.partition(":")
         if int(dim) < 1:
             raise ValueError(f"{value!r} gives hop {hop} dimension {dim}, below 1")
         schedule[int(hop)] = int(dim)
+    missing = [hop for hop in hops if hop not in schedule]
+    if missing:
+        raise ValueError(f"{value!r} gives no dimension for hops {missing} of this run")
     return schedule
 
 
-def _option_casts() -> dict[str, Callable[[str], object]]:
+def _positive(value: str) -> float:
+    parsed = float(value)
+    if parsed <= 0:
+        raise ValueError(f"{value!r} is not positive")
+    return parsed
+
+
+def _option_casts(hops: Sequence[int]) -> dict[str, Callable[[str], object]]:
     """Manifest option key -> parser, walked from the config's own fields.
 
     `seed` is the manifest's own `seed` line and `workers` a CLI flag; the
-    embedders' `epochs` and `seed` come from the top-level `epochs` and the
-    cell seeds. None of these is an option key.
+    embedders' `epochs` come from the top-level `epochs`. None of these is an
+    option key.
     """
-    casts: dict[str, Callable[[str], object]] = {"dim_schedule": _parse_dim_schedule}
+    casts: dict[str, Callable[[str], object]] = {
+        "dim_schedule": partial(_parse_dim_schedule, hops=hops)}
     casts.update({f"scorer.{algo}": one_of(*SCORERS) for algo in ALGORITHMS})
     for name, hint in get_type_hints(PipelineConfig).items():
         if hint in (int, float, str) and name not in ("seed", "workers"):
@@ -129,9 +144,10 @@ def _option_casts() -> dict[str, Callable[[str], object]]:
         elif is_dataclass(hint) and name != "manifest":
             casts.update({
                 f"{name}.{sub}": cast for sub, cast in get_type_hints(hint).items()
-                if sub not in ("epochs", "seed")
+                if sub != "epochs"
             })
-    casts.update(emb_format=one_of(*EMB_FORMATS), analogy_mode=one_of(*ANALOGY_MODES))
+    casts.update(emb_format=one_of(*EMB_FORMATS), analogy_mode=one_of(*ANALOGY_MODES),
+                 hope_beta=_positive)
     return casts
 
 
@@ -146,34 +162,35 @@ def config_from_manifest(
 ) -> PipelineConfig:
     """Apply manifest options and CLI overrides on top of the defaults.
 
-    An unknown option key, or a value its field cannot parse, raises
-    ValueError naming the manifest line it came from.
+    Each value is applied as its line is read, so an unknown option key, a
+    value its field cannot parse, or one that the embedder settings reject
+    raises ValueError naming the manifest line it came from.
     """
-    casts = _option_casts()
-    groups: dict[str, dict] = {"": {}, "scorer": {}, "node2vec": {}, "sdne": {}}
-    for key, raw in manifest.options.items():
-        where = manifest.option_locations.get(key, "manifest")
-        if key not in casts:
-            raise ValueError(f"{where}: unknown manifest key {key!r}")
-        try:
-            value = casts[key](raw)
-        except ValueError as exc:
-            raise ValueError(f"{where}: bad value for {key}: {exc}") from None
-        group, _, name = key.rpartition(".")
-        groups[group][name] = value
-    if threshold is not None:
-        groups[""]["threshold"] = threshold
+    casts = _option_casts(manifest.hops)
     cfg = PipelineConfig(
         manifest=replace(manifest, graph_format=graph_format) if graph_format else manifest,
         output_dir=Path(output_dir),
         seed=manifest.seed if seed is None else seed,
         workers=max(1, workers),
         dot=dot,
-        **groups[""],
     )
-    cfg.scorers.update(groups["scorer"])
-    cfg.node2vec = replace(cfg.node2vec, epochs=cfg.epochs, **groups["node2vec"])
-    cfg.sdne = replace(cfg.sdne, epochs=cfg.epochs, **groups["sdne"])
+    for key, raw in manifest.options.items():
+        where = manifest.option_locations.get(key, "manifest")
+        if key not in casts:
+            raise ValueError(f"{where}: unknown manifest key {key!r}")
+        group, _, name = key.rpartition(".")
+        try:
+            value = casts[key](raw)
+            if group == "scorer":
+                cfg.scorers[name] = value
+            elif group:
+                setattr(cfg, group, replace(getattr(cfg, group), **{name: value}))
+            else:
+                cfg = replace(cfg, **{name: value})
+        except ValueError as exc:
+            raise ValueError(f"{where}: bad value for {key}: {exc}") from None
+    if threshold is not None:
+        cfg.threshold = threshold
     return cfg
 
 
@@ -338,7 +355,7 @@ def _embed_one(cfg: PipelineConfig, sub: DiGraph, algorithm: str, dim: int, seed
     if algorithm == "lap":
         return lap_embed(sub, dim)
     if algorithm == "node2vec":
-        return node2vec_embed(sub, dim, replace(cfg.node2vec, seed=seed))
+        return node2vec_embed(sub, dim, cfg.node2vec, seed)
     if algorithm == "sdne":
         return sdne_train(sub, dim, cfg.sdne, seed=seed)
     raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -351,7 +368,7 @@ def run_embed(cfg: PipelineConfig) -> list[dict]:
 
     def worker(task):
         sub = graph_from_records(parse_edge_list(out / "subgraphs" / f"{task['stem']}.tsv", "tsv3"))
-        requested = cfg.dim_schedule.get(task["hop"], 2)
+        requested = cfg.dim_schedule[task["hop"]]
         effective = clamp_dim(requested, sub.node_count)
         if effective != requested:
             log.info("cell %s: requested %d, effective %d", task["key"], requested, effective)

@@ -7,7 +7,7 @@ mini-batches of (center, context) pairs with array operations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,23 +24,8 @@ class WalkCorpus:
 
 
 @dataclass
-class SgnsParams:
-    context_size: int = 10
-    negatives_per_positive: int = 5
-    learning_rate: float = 0.025
-    epochs: int = 50
-    seed: int = 0
-
-    def __post_init__(self):
-        if min(self.context_size, self.negatives_per_positive, self.epochs) < 1:
-            raise ValueError("context_size, negatives and epochs must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-
-
-@dataclass
 class Node2VecConfig:
-    """Effective Node2Vec settings; the defaults are the pipeline's fixed choices."""
+    """Node2Vec walk and SGNS settings; the defaults are the pipeline's fixed choices."""
 
     walk_length: int = 80
     walks_per_node: int = 10
@@ -50,40 +35,43 @@ class Node2VecConfig:
     negatives_per_positive: int = 5
     learning_rate: float = 0.025
     epochs: int = 50
-    seed: int = 0
+
+    def __post_init__(self):
+        for name in ("walk_length", "walks_per_node", "context_size", "negatives_per_positive",
+                     "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("p", "q", "learning_rate"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 # -- walk generation ----------------------------------------------------
 
 
-def _walk_steps(out_indptr, out_indices, in_indptr, in_indices, start, p, q, uniforms, buf):
-    cur = int(start)
+def _walk(g: DiGraph, start: int, p: float, q: float, uniforms: np.ndarray) -> np.ndarray:
+    """The walk from `start` that takes one step per uniform draw, cut short at a dead end."""
+    walk = [start]
     prev = -1
-    buf[0] = cur
-    length = 1
-    for step in range(buf.shape[0] - 1):
-        lo, hi = int(out_indptr[cur]), int(out_indptr[cur + 1])
+    for u in uniforms.tolist():
+        cur = walk[-1]
+        lo, hi = int(g.out_indptr[cur]), int(g.out_indptr[cur + 1])
         deg = hi - lo
         if deg == 0:
             break
-        u = uniforms[step]
-        nbrs = out_indices[lo:hi]
+        nbrs = g.out_indices[lo:hi]
         if prev < 0 or (p == 1.0 and q == 1.0):
             idx = min(int(u * deg), deg - 1)
         else:
-            prev_out = out_indices[out_indptr[prev]:out_indptr[prev + 1]]
-            prev_in = in_indices[in_indptr[prev]:in_indptr[prev + 1]]
-            adjacent = np.isin(nbrs, prev_out) | np.isin(nbrs, prev_in)
+            adjacent = np.isin(nbrs, g.out_neighbors(prev)) | np.isin(nbrs, g.in_neighbors(prev))
             wgt = np.where(adjacent, 1.0, 1.0 / q)
             wgt = np.where(nbrs == prev, 1.0 / p, wgt)
             cum = np.cumsum(wgt)
             pick = u * cum[-1]
             idx = min(int(np.searchsorted(cum, pick, side="right")), deg - 1)
         prev = cur
-        cur = int(nbrs[idx])
-        buf[length] = cur
-        length += 1
-    return length
+        walk.append(int(nbrs[idx]))
+    return np.array(walk, dtype=np.int64)
 
 
 def generate_walks(
@@ -104,17 +92,11 @@ def generate_walks(
         raise ValueError("walk_length must be >= 1")
     if p <= 0 or q <= 0:
         raise ValueError("p and q must be positive")
-    walks: list[np.ndarray] = []
-    buf = np.zeros(walk_length, dtype=np.int64)
-    for node in range(g.node_count):
-        for w in range(walks_per_node):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, node, w))))
-            uniforms = rng.random(max(walk_length - 1, 1))
-            length = _walk_steps(
-                g.out_indptr, g.out_indices, g.in_indptr, g.in_indices,
-                node, float(p), float(q), uniforms, buf,
-            )
-            walks.append(buf[:length].copy())
+    walks = [
+        _walk(g, node, p, q, np.random.default_rng((seed, node, w)).random(walk_length - 1))
+        for node in range(g.node_count)
+        for w in range(walks_per_node)
+    ]
     return WalkCorpus(walks=walks, walk_length=walk_length, walks_per_node=walks_per_node)
 
 
@@ -241,22 +223,24 @@ def sgns_corpus_loss(
 def train_sgns(
     corpus: WalkCorpus,
     d: int,
-    params: SgnsParams,
+    params: Node2VecConfig,
     node_count: int,
+    seed: int,
     labels: Sequence[str] | None = None,
     on_epoch: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
 ) -> EmbeddingMatrix:
     """Mini-batch SGD ascent on the SGNS objective; returns the input-vector matrix.
 
-    Each epoch visits every (center, context) pair once in a seeded random
-    order, with freshly drawn negatives, in batches of min(1024, pairs // 100)
-    pairs. The learning rate decays linearly over epochs * pairs pair steps
-    down to a floor of 1e-4 of the initial rate. Deterministic for a fixed seed.
+    Only the SGNS settings of `params` are read. Each epoch visits every
+    (center, context) pair once in a seeded random order, with freshly drawn
+    negatives, in batches of min(1024, pairs // 100) pairs. The learning rate
+    decays linearly over epochs * pairs pair steps down to a floor of 1e-4 of
+    the initial rate. Deterministic for a fixed seed.
     """
     if not corpus.walks:
         raise ValueError("empty corpus")
     d_eff = clamp_dim(d, node_count)
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     vin = (rng.random((node_count, d_eff)) - 0.5) / d_eff
     vout = np.zeros((node_count, d_eff))
 
@@ -291,18 +275,7 @@ def train_sgns(
     return EmbeddingMatrix(labels=tuple(labels), vectors=vin, algorithm_tag="node2vec")
 
 
-def node2vec_embed(g: DiGraph, d: int, config: Node2VecConfig | None = None) -> EmbeddingMatrix:
-    """Walk generation composed with SGNS training under the fixed defaults."""
-    cfg = config or Node2VecConfig()
-    corpus = generate_walks(
-        g, cfg.walk_length, cfg.walks_per_node, cfg.p, cfg.q, cfg.seed
-    )
-    params = SgnsParams(
-        context_size=cfg.context_size,
-        negatives_per_positive=cfg.negatives_per_positive,
-        learning_rate=cfg.learning_rate,
-        epochs=cfg.epochs,
-        seed=cfg.seed,
-    )
-    emb = train_sgns(corpus, d, params, g.node_count, labels=g.labels)
-    return replace(emb, algorithm_tag="node2vec")
+def node2vec_embed(g: DiGraph, d: int, params: Node2VecConfig, seed: int) -> EmbeddingMatrix:
+    """Walk generation composed with SGNS training, both under `seed`."""
+    corpus = generate_walks(g, params.walk_length, params.walks_per_node, params.p, params.q, seed)
+    return train_sgns(corpus, d, params, g.node_count, seed, labels=g.labels)

@@ -27,11 +27,12 @@ class SdneParams:
     epochs: int = 50
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("alpha", "beta_penalty", "l1_reg", "l2_reg", "rho", "xeta"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 @dataclass

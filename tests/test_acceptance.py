@@ -259,7 +259,7 @@ def test_downward_trend_across_hops():
                     elif algo == "lle":
                         emb = lle_embed(sub, dims[hop])
                     elif algo == "node2vec":
-                        emb = node2vec_embed(sub, dims[hop], Node2VecConfig(seed=seed, **n2v))
+                        emb = node2vec_embed(sub, dims[hop], Node2VecConfig(**n2v), seed)
                     else:
                         emb = sdne_train(sub, dims[hop], sdne_params, seed=seed)
                     rep = reconstruction_report(emb, sub, DEFAULT_SCORERS[algo])
@@ -279,9 +279,8 @@ def test_community_separation():
         g = two_clique_graph(5)
         n2v_wins = 0
         for seed in range(5):
-            cfg = Node2VecConfig(walk_length=20, walks_per_node=10, context_size=5,
-                                 epochs=15, seed=seed)
-            intra, inter = separation(node2vec_embed(g, 2, cfg).vectors, block=5)
+            cfg = Node2VecConfig(walk_length=20, walks_per_node=10, context_size=5, epochs=15)
+            intra, inter = separation(node2vec_embed(g, 2, cfg, seed).vectors, block=5)
             n2v_wins += intra < inter
         assert n2v_wins >= 4, f"node2vec separated in only {n2v_wins}/5 seeds"
         sdne_wins = 0

@@ -301,7 +301,11 @@ dim_schedule = 1:4,2:4,3:4
         for key, value in [("epochs", "many"), ("graph_format", "bogus"), ("emb_format", "bogus"),
                            ("analogy_mode", "bogus"), ("scorer.lap", "bogus"), ("hop", "x"),
                            ("seed", "x"), ("hop", "4"), ("algorithm", "foo"),
-                           ("centers", "bogus"), ("dim_schedule", "1:0,2:2")]:
+                           ("centers", "bogus"), ("dim_schedule", "1:0,2:2"),
+                           ("node2vec.context_size", "0"), ("node2vec.walks_per_node", "0"),
+                           ("node2vec.p", "0"), ("node2vec.learning_rate", "-1"),
+                           ("sdne.batch_size", "0"), ("epochs", "0"), ("hope_beta", "-1"),
+                           ("dim_schedule", "1:1")]:
             manifest = write_world(tmp_path, extra=f"{key} = {value}\n")
             line = len(manifest.read_text().splitlines())
             out = tmp_path / f"out_{key}_{value}"
@@ -358,14 +362,6 @@ dim_schedule = 1:4,2:4,3:4
         out = tmp_path / "out"
         assert cli_main(["extract", "--config", str(manifest), "--output", str(out)]) == 2
 
-    def test_workers_env_override(self, tmp_path, monkeypatch):
-        manifest = write_world(tmp_path, algorithms=("lap",))
-        out = tmp_path / "out"
-        monkeypatch.setenv("RESTORE_WORKERS", "2")
-        assert cli_main(["run-all", "--config", str(manifest), "--output", str(out)]) == 0
-        monkeypatch.setenv("RESTORE_WORKERS", "not-a-number")
-        assert cli_main(["run-all", "--config", str(manifest), "--output", str(out)]) == 1
-
     def test_seed_threshold_format_flags(self, tmp_path):
         kgtk = "id\tnode1\trelation\tnode2\n"
         for line in TOY_GRAPH.strip().splitlines():
@@ -395,12 +391,12 @@ dim_schedule = 1:4,2:4,3:4
         assert cfg.manifest.graph_format == "tsv_kgtk"
         assert loaded.graph_format == "tsv3"
 
-    def test_workers_do_not_change_results(self, tmp_path, monkeypatch):
+    def test_workers_do_not_change_results(self, tmp_path):
         manifest = write_world(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert cli_main(["run-all", "--config", str(manifest), "--output", str(out1)]) == 0
-        monkeypatch.setenv("RESTORE_WORKERS", "4")
-        assert cli_main(["run-all", "--config", str(manifest), "--output", str(out2)]) == 0
+        assert cli_main(["run-all", "--config", str(manifest), "--output", str(out2),
+                         "--workers", "4"]) == 0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
