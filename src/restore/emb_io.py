@@ -4,64 +4,85 @@ Header lines name the algorithm, dimensions, node labels, and whether one or
 two (source/target) matrices follow. The payload is row-major IEEE-754 64-bit
 little-endian in binary mode, or full-precision repr text rows in text mode;
 binary is the default because tests need exactness, text exists for
-inspection.
+inspection. Reading checks every header field and names the file on error.
 """
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
 
-from .factorization import AsymEmbedding, EmbeddingMatrix
+from .factorization import EmbeddingMatrix
 
 EMB_FORMATS = ("binary", "text")
 _MAGIC = "RESTORE-EMB 1"
 _DATA_MARK = b"\nDATA\n"
+_HEADER_KEYS = ("algorithm", "dim", "nodes", "parts", "mode")
+_PARTS = ("single", "source,target")
 
 
-def _header(emb: EmbeddingMatrix | AsymEmbedding, mode: str) -> str:
-    parts = "source,target" if isinstance(emb, AsymEmbedding) else "single"
-    tag = emb.source.algorithm_tag if isinstance(emb, AsymEmbedding) else emb.algorithm_tag
-    labels = emb.labels
-    dim = emb.dim
+def _header(emb: EmbeddingMatrix, mode: str) -> str:
     lines = [
         _MAGIC,
-        f"algorithm {tag}",
-        f"dim {dim}",
-        f"nodes {len(labels)}",
-        f"parts {parts}",
+        f"algorithm {emb.algorithm_tag}",
+        f"dim {emb.dim}",
+        f"nodes {emb.node_count}",
+        f"parts {'single' if emb.target is None else 'source,target'}",
         f"mode {mode}",
     ]
-    lines.extend(labels)
+    lines.extend(emb.labels)
     return "\n".join(lines)
 
 
-def write_embedding(
-    emb: EmbeddingMatrix | AsymEmbedding, path: str | Path, mode: str = "binary"
-) -> None:
+def write_embedding(emb: EmbeddingMatrix, path: str | Path, mode: str = "binary") -> None:
+    """Write to a temporary file beside `path`, then move it into place, so a
+    file at `path` is always complete."""
     if mode not in EMB_FORMATS:
         raise ValueError(f"unknown embedding file mode {mode!r}")
-    matrices = (
-        [emb.source.vectors, emb.target.vectors]
-        if isinstance(emb, AsymEmbedding)
-        else [emb.vectors]
-    )
-    header = _header(emb, mode).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(_DATA_MARK)
-        if mode == "binary":
-            for matrix in matrices:
-                fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
-        else:
-            rows = []
-            for matrix in matrices:
-                for row in matrix:
-                    rows.append(" ".join(repr(float(x)) for x in row))
-            fh.write(("\n".join(rows) + "\n").encode("utf-8"))
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_header(emb, mode).encode("utf-8"))
+            fh.write(_DATA_MARK)
+            if mode == "binary":
+                for matrix in emb.matrices():
+                    fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
+            else:
+                rows = []
+                for matrix in emb.matrices():
+                    for row in matrix:
+                        rows.append(" ".join(repr(float(x)) for x in row))
+                fh.write(("\n".join(rows) + "\n").encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def read_embedding(path: str | Path) -> EmbeddingMatrix | AsymEmbedding:
+def _parse_header(path: str | Path, lines: list[str]) -> tuple[str, int, int, int, str]:
+    """(algorithm, dim, nodes, matrix count, mode) from the lines after the magic."""
+    if len(lines) < len(_HEADER_KEYS):
+        raise ValueError(f"{path}: header ends after {len(lines)} of its {len(_HEADER_KEYS)} fields")
+    values = []
+    for want, line in zip(_HEADER_KEYS, lines):
+        key, _, value = line.partition(" ")
+        if key != want:
+            raise ValueError(f"{path}: malformed header: expected {want!r}, found {line!r}")
+        values.append(value)
+    tag, dim, nodes, parts, mode = values
+    for key, value in (("dim", dim), ("nodes", nodes)):
+        if not (value.isascii() and value.isdigit()):
+            raise ValueError(f"{path}: {key} must be a non-negative integer, found {value!r}")
+    if parts not in _PARTS:
+        raise ValueError(f"{path}: parts must be one of {_PARTS}, found {parts!r}")
+    if mode not in EMB_FORMATS:
+        raise ValueError(f"{path}: mode must be one of {EMB_FORMATS}, found {mode!r}")
+    return tag, int(dim), int(nodes), 1 if parts == "single" else 2, mode
+
+
+def read_embedding(path: str | Path) -> EmbeddingMatrix:
     blob = Path(path).read_bytes()
     split = blob.find(_DATA_MARK)
     if split < 0:
@@ -69,21 +90,10 @@ def read_embedding(path: str | Path) -> EmbeddingMatrix | AsymEmbedding:
     head_lines = blob[:split].decode("utf-8").split("\n")
     if head_lines[0] != _MAGIC:
         raise ValueError(f"{path}: bad magic {head_lines[0]!r}")
-    fields = {}
-    for line in head_lines[1:5]:
-        key, _, value = line.partition(" ")
-        fields[key] = value
-    mode_line = head_lines[5]
-    key, _, mode = mode_line.partition(" ")
-    if key != "mode":
-        raise ValueError(f"{path}: malformed header")
-    tag = fields["algorithm"]
-    dim = int(fields["dim"])
-    n = int(fields["nodes"])
+    tag, dim, n, n_parts, mode = _parse_header(path, head_lines[1:6])
     labels = tuple(head_lines[6:6 + n])
     if len(labels) != n:
         raise ValueError(f"{path}: header promises {n} labels, found {len(labels)}")
-    n_parts = 2 if fields["parts"] == "source,target" else 1
     payload = blob[split + len(_DATA_MARK):]
     if mode == "binary":
         flat = np.frombuffer(payload, dtype="<f8")
@@ -97,9 +107,5 @@ def read_embedding(path: str | Path) -> EmbeddingMatrix | AsymEmbedding:
             raise ValueError(f"{path}: expected {n_parts * n} text rows, found {len(rows)}")
         stacked = np.array([[float(x) for x in r.split()] for r in rows], dtype=np.float64)
         stacked = stacked.reshape(n_parts * n, dim) if stacked.size else np.zeros((n_parts * n, dim))
-    if n_parts == 2:
-        return AsymEmbedding(
-            source=EmbeddingMatrix(labels=labels, vectors=stacked[:n].copy(), algorithm_tag=tag),
-            target=EmbeddingMatrix(labels=labels, vectors=stacked[n:].copy(), algorithm_tag=tag),
-        )
-    return EmbeddingMatrix(labels=labels, vectors=stacked.copy(), algorithm_tag=tag)
+    target = stacked[n:].copy() if n_parts == 2 else None
+    return EmbeddingMatrix(labels=labels, vectors=stacked[:n].copy(), algorithm_tag=tag, target=target)

@@ -1,9 +1,9 @@
 """Factorization-family embeddings: LLE, Laplacian eigenmaps, and HOPE.
 
 LLE and the Laplacian map are symmetric objectives, so directed input is
-symmetrized before solving; HOPE is the family member that keeps direction,
-pairing a source matrix with a target matrix so that Y_s @ Y_t.T approximates
-the Katz similarity.
+symmetrized before solving; HOPE is the family member that keeps direction:
+its embedding carries a target matrix Y_t beside the source vectors Y_s, so
+that Y_s @ Y_t.T approximates the Katz similarity.
 """
 from __future__ import annotations
 
@@ -17,11 +17,16 @@ from .linalg import katz_similarity, sym_eig_smallest, truncated_svd
 
 @dataclass
 class EmbeddingMatrix:
-    """Per-node d-dimensional vectors, row-aligned with the graph's node order."""
+    """Per-node d-dimensional vectors, row-aligned with the graph's node order.
+
+    HOPE's `vectors` are its source vectors and `target` its target vectors,
+    both (node_count, dim); every other embedding has no target.
+    """
 
     labels: tuple[str, ...]
     vectors: np.ndarray  # (node_count, dim)
     algorithm_tag: str
+    target: np.ndarray | None = None
 
     @property
     def node_count(self) -> int:
@@ -31,39 +36,13 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return int(self.vectors.shape[1])
 
+    def matrices(self) -> list[np.ndarray]:
+        return [self.vectors] if self.target is None else [self.vectors, self.target]
+
     def vector_for(self, label: str) -> np.ndarray:
-        return self.vectors[self.labels.index(label)]
-
-    def lookup(self) -> dict[str, np.ndarray]:
-        return {lab: self.vectors[i] for i, lab in enumerate(self.labels)}
-
-
-@dataclass
-class AsymEmbedding:
-    """Paired source/target embeddings (HOPE); dims and node sets match."""
-
-    source: EmbeddingMatrix
-    target: EmbeddingMatrix
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.source.labels
-
-    @property
-    def node_count(self) -> int:
-        return self.source.node_count
-
-    @property
-    def dim(self) -> int:
-        return self.source.dim
-
-    def concatenated(self) -> EmbeddingMatrix:
-        """[Y_s | Y_t] as a single matrix, used for distance-based evaluation."""
-        return EmbeddingMatrix(
-            labels=self.source.labels,
-            vectors=np.hstack([self.source.vectors, self.target.vectors]),
-            algorithm_tag=self.source.algorithm_tag,
-        )
+        """The label's row; [source | target] for HOPE, for distance-based evaluation."""
+        i = self.labels.index(label)
+        return np.concatenate([m[i] for m in self.matrices()])
 
 
 def clamp_dim(d: int, node_count: int) -> int:
@@ -129,7 +108,7 @@ def lap_embed(g: DiGraph, d: int) -> EmbeddingMatrix:
     return _spectral_embed(g, d, "lap", use_normalized_laplacian=True)
 
 
-def hope_embed(g: DiGraph, d: int, beta: float = 0.01) -> AsymEmbedding:
+def hope_embed(g: DiGraph, d: int, beta: float = 0.01) -> EmbeddingMatrix:
     """Katz-similarity factorization preserving asymmetric transitivity.
 
     S = katz(g, beta); (U, Sigma, V) = truncated SVD of S; the source and
@@ -147,7 +126,4 @@ def hope_embed(g: DiGraph, d: int, beta: float = 0.01) -> AsymEmbedding:
         half = np.sqrt(res.sigma)
         ys = res.u * half[None, :]
         yt = res.v * half[None, :]
-    return AsymEmbedding(
-        source=EmbeddingMatrix(labels=g.labels, vectors=ys, algorithm_tag="hope"),
-        target=EmbeddingMatrix(labels=g.labels, vectors=yt, algorithm_tag="hope"),
-    )
+    return EmbeddingMatrix(labels=g.labels, vectors=ys, algorithm_tag="hope", target=yt)

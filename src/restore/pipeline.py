@@ -23,7 +23,7 @@ import numpy as np
 
 from .dot import render_dot
 from .emb_io import EMB_FORMATS, read_embedding, write_embedding
-from .factorization import AsymEmbedding, clamp_dim, hope_embed, lap_embed, lle_embed
+from .factorization import clamp_dim, hope_embed, lap_embed, lle_embed
 from .graph import DiGraph, khop_ego_subgraph
 from .ingest import (
     ALGORITHMS,
@@ -448,8 +448,6 @@ def _center_vector_lookup(cfg: PipelineConfig, hop: int, algorithm: str) -> dict
         if cell["hop"] != hop or not path.exists():
             continue
         emb = read_embedding(path)
-        if isinstance(emb, AsymEmbedding):
-            emb = emb.concatenated()
         try:
             lookup[cell["center"]] = emb.vector_for(cell["center"])
         except ValueError:

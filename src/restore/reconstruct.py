@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .factorization import AsymEmbedding, EmbeddingMatrix
+from .factorization import EmbeddingMatrix
 from .graph import DiGraph, GraphDiff, graph_diff
 
 DEFAULT_FRACTIONS = (0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -62,7 +62,7 @@ class ReconReport:
     prediction_count: int = 0
 
 
-def pairwise_scores(emb: EmbeddingMatrix | AsymEmbedding, scorer: str) -> ScoreMatrix:
+def pairwise_scores(emb: EmbeddingMatrix, scorer: str) -> ScoreMatrix:
     """Raw (unnormalized) pairwise scores; the diagonal is never scored.
 
     dot      -> y_i . y_j
@@ -70,10 +70,10 @@ def pairwise_scores(emb: EmbeddingMatrix | AsymEmbedding, scorer: str) -> ScoreM
     neg_distance -> -||y_i - y_j||_2
     """
     if scorer == "asym_dot":
-        if not isinstance(emb, AsymEmbedding):
+        if emb.target is None:
             raise ValueError("asym_dot requires a source/target embedding pair")
-        raw = emb.source.vectors @ emb.target.vectors.T
-    elif isinstance(emb, AsymEmbedding):
+        raw = emb.vectors @ emb.target.T
+    elif emb.target is not None:
         raise ValueError(f"scorer {scorer!r} expects a symmetric embedding")
     elif scorer == "dot":
         raw = emb.vectors @ emb.vectors.T
@@ -193,7 +193,7 @@ def predictions_to_graph(preds: RankedPredictions, labels: tuple[str, ...]) -> D
 
 
 def reconstruction_report(
-    emb: EmbeddingMatrix | AsymEmbedding,
+    emb: EmbeddingMatrix,
     g: DiGraph,
     scorer: str,
     threshold: float = 0.5,

@@ -77,22 +77,22 @@ class TestHope:
     def test_single_edge_hand_solved(self):
         g = build_graph([("a", "b")])
         emb = hope_embed(g, 1, beta=0.01)
-        assert np.allclose(emb.source.vectors[:, 0], [0.1, 0.0], atol=1e-12)
-        assert np.allclose(emb.target.vectors[:, 0], [0.0, 0.1], atol=1e-12)
-        score = emb.source.vectors @ emb.target.vectors.T
+        assert np.allclose(emb.vectors[:, 0], [0.1, 0.0], atol=1e-12)
+        assert np.allclose(emb.target[:, 0], [0.0, 0.1], atol=1e-12)
+        score = emb.vectors @ emb.target.T
         assert abs(score[0, 1] - 0.01) < 1e-12
 
     def test_asymmetry_on_single_edge(self):
         g = build_graph([("a", "b")])
         emb = hope_embed(g, 1)
-        scores = emb.source.vectors @ emb.target.vectors.T
+        scores = emb.vectors @ emb.target.T
         assert scores[0, 1] > scores[1, 0]
 
     def test_empty_graph_zero(self):
         g = graph_from_labeled_edges([], extra_nodes=["a", "b"])
         emb = hope_embed(g, 1)
-        assert np.allclose(emb.source.vectors, 0.0)
-        assert np.allclose(emb.target.vectors, 0.0)
+        assert np.allclose(emb.vectors, 0.0)
+        assert np.allclose(emb.target, 0.0)
 
     def test_full_rank_dag_reconstructs_katz(self):
         from restore.linalg import katz_similarity
@@ -107,7 +107,7 @@ class TestHope:
             g = build_graph(edges)
             s = katz_similarity(g, 0.01)
             emb = hope_embed(g, g.node_count, beta=0.01)
-            approx = emb.source.vectors @ emb.target.vectors.T
+            approx = emb.vectors @ emb.target.T
             norm = np.linalg.norm(s)
             assert np.linalg.norm(s - approx) <= 1e-8 * max(norm, 1e-30)
 
@@ -135,8 +135,8 @@ class TestInvariants:
         for emb in (lle_embed(g, 8), lap_embed(g, 8)):
             assert np.isfinite(emb.vectors).all()
         hope = hope_embed(g, 8)
-        assert np.isfinite(hope.source.vectors).all()
-        assert np.isfinite(hope.target.vectors).all()
+        assert np.isfinite(hope.vectors).all()
+        assert np.isfinite(hope.target).all()
 
     def test_clamp_rule(self):
         assert clamp_dim(5, 10) == 5

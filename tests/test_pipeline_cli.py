@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from restore.cli import main as cli_main
 from restore.emb_io import read_embedding, write_embedding
-from restore.factorization import AsymEmbedding, EmbeddingMatrix, hope_embed
+from restore.factorization import EmbeddingMatrix, hope_embed
 from restore.graph import build_graph
 from restore.ingest import load_manifest
 from restore.pipeline import (
@@ -89,15 +90,55 @@ class TestEmbIo:
         path = tmp_path / "h.emb"
         write_embedding(hope, path, "binary")
         back = read_embedding(path)
-        assert isinstance(back, AsymEmbedding)
-        assert np.array_equal(back.source.vectors, hope.source.vectors)
-        assert np.array_equal(back.target.vectors, hope.target.vectors)
+        assert back.target is not None
+        assert np.array_equal(back.vectors, hope.vectors)
+        assert np.array_equal(back.target, hope.target)
+        for i, label in enumerate(g.labels):
+            assert np.array_equal(back.vector_for(label), np.concatenate([hope.vectors[i], hope.target[i]]))
 
-    def test_bad_file_rejected(self, tmp_path):
+    def test_binary_byte_layout(self, tmp_path):
+        vectors = np.array([[1.0, 2.0], [3.0, 4.0]])
+        target = np.array([[5.0, 6.0], [7.0, 8.0]])
+        header = "RESTORE-EMB 1\nalgorithm {}\ndim 2\nnodes 2\nparts {}\nmode binary\na\nb\nDATA\n"
+        source_rows = bytes.fromhex(
+            "000000000000f03f" "0000000000000040" "0000000000000840" "0000000000001040"
+        )
+        target_rows = bytes.fromhex(
+            "0000000000001440" "0000000000001840" "0000000000001c40" "0000000000002040"
+        )
+        single = EmbeddingMatrix(labels=("a", "b"), vectors=vectors, algorithm_tag="lap")
+        write_embedding(single, tmp_path / "s.emb", "binary")
+        assert (tmp_path / "s.emb").read_bytes() == header.format("lap", "single").encode() + source_rows
+        pair = EmbeddingMatrix(labels=("a", "b"), vectors=vectors, algorithm_tag="hope", target=target)
+        write_embedding(pair, tmp_path / "p.emb", "binary")
+        assert (tmp_path / "p.emb").read_bytes() == (
+            header.format("hope", "source,target").encode() + source_rows + target_rows
+        )
+
+    @pytest.mark.parametrize(
+        "blob,fragment",
+        [
+            (b"not an embedding", "DATA"),
+            (b"RESTORE-EMB 1\nalgorithm lap\ndim 1\nnodes 1\nparts triple\nmode binary\na", "parts"),
+            (b"RESTORE-EMB 1\nalgorithm lap\ndim 1\nnodes 1\nparts single\nmode bogus\na", "mode"),
+            (b"RESTORE-EMB 1\nalgorithm lap\ndim x\nnodes 1\nparts single\nmode binary\na", "dim"),
+            (b"RESTORE-EMB 1\nalgorithm lap\ndim 1\nnodes 1", "header"),
+        ],
+        ids=["no-data-marker", "parts-triple", "mode-bogus", "dim-not-int", "short-header"],
+    )
+    def test_bad_file_rejected(self, tmp_path, blob, fragment):
         path = tmp_path / "bad.emb"
-        path.write_bytes(b"not an embedding")
-        with pytest.raises(ValueError, match="DATA"):
+        if b"RESTORE-EMB" in blob:
+            blob += b"\nDATA\n" + np.ones(1, dtype="<f8").tobytes()
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{fragment}"):
             read_embedding(path)
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        emb = EmbeddingMatrix(labels=("a",), vectors=np.array([[object()]], dtype=object), algorithm_tag="lap")
+        with pytest.raises(TypeError):
+            write_embedding(emb, tmp_path / "e.emb", "binary")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDefaults:

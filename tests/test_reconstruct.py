@@ -10,7 +10,7 @@ from oracles import (
     oracle_precision_at_fractions,
 )
 from restore.dot import render_dot
-from restore.factorization import AsymEmbedding, EmbeddingMatrix, hope_embed, lap_embed
+from restore.factorization import EmbeddingMatrix, hope_embed, lap_embed
 from restore.graph import (
     build_graph,
     gen_synthetic,
