@@ -82,7 +82,6 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"restore: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     stage = _STAGES[args.command]
     try:
         errors = stage(cfg)

@@ -4,16 +4,17 @@ Header lines name the algorithm, dimensions, node labels, and whether one or
 two (source/target) matrices follow. The payload is row-major IEEE-754 64-bit
 little-endian in binary mode, or full-precision repr text rows in text mode;
 binary is the default because tests need exactness, text exists for
-inspection. Reading checks every header field and names the file on error.
+inspection. Reading checks every header field and payload row and names the
+file on error.
 """
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import numpy as np
 
 from .factorization import EmbeddingMatrix
+from .ingest import write_atomic
 
 EMB_FORMATS = ("binary", "text")
 _MAGIC = "RESTORE-EMB 1"
@@ -23,42 +24,21 @@ _PARTS = ("single", "source,target")
 
 
 def _header(emb: EmbeddingMatrix, mode: str) -> str:
-    lines = [
-        _MAGIC,
-        f"algorithm {emb.algorithm_tag}",
-        f"dim {emb.dim}",
-        f"nodes {emb.node_count}",
-        f"parts {'single' if emb.target is None else 'source,target'}",
-        f"mode {mode}",
-    ]
-    lines.extend(emb.labels)
-    return "\n".join(lines)
+    parts = "single" if emb.target is None else "source,target"
+    return "\n".join([_MAGIC, f"algorithm {emb.algorithm_tag}", f"dim {emb.dim}",
+                      f"nodes {emb.node_count}", f"parts {parts}", f"mode {mode}", *emb.labels])
 
 
 def write_embedding(emb: EmbeddingMatrix, path: str | Path, mode: str = "binary") -> None:
-    """Write to a temporary file beside `path`, then move it into place, so a
-    file at `path` is always complete."""
+    """Write atomically (see `ingest.write_atomic`): a file at `path` is always complete."""
     if mode not in EMB_FORMATS:
         raise ValueError(f"unknown embedding file mode {mode!r}")
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_header(emb, mode).encode("utf-8"))
-            fh.write(_DATA_MARK)
-            if mode == "binary":
-                for matrix in emb.matrices():
-                    fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
-            else:
-                rows = []
-                for matrix in emb.matrices():
-                    for row in matrix:
-                        rows.append(" ".join(repr(float(x)) for x in row))
-                fh.write(("\n".join(rows) + "\n").encode("utf-8"))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    if mode == "binary":
+        payload = b"".join(np.ascontiguousarray(m, dtype="<f8").tobytes() for m in emb.matrices())
+    else:
+        rows = [" ".join(repr(float(x)) for x in row) for m in emb.matrices() for row in m]
+        payload = ("\n".join(rows) + "\n").encode("utf-8")
+    write_atomic(path, _header(emb, mode).encode("utf-8") + _DATA_MARK + payload)
 
 
 def _parse_header(path: str | Path, lines: list[str]) -> tuple[str, int, int, int, str]:
@@ -100,12 +80,18 @@ def read_embedding(path: str | Path) -> EmbeddingMatrix:
         expected = n_parts * n * dim
         if flat.shape[0] != expected:
             raise ValueError(f"{path}: expected {expected} values, found {flat.shape[0]}")
-        stacked = flat.reshape(n_parts * n, dim) if expected else np.zeros((n_parts * n, dim))
+        stacked = flat.reshape(n_parts * n, dim)
     else:
-        rows = [r for r in payload.decode("utf-8").splitlines() if r.strip()]
+        rows = [r.split() for r in payload.decode("utf-8").splitlines() if r.strip()]
         if len(rows) != n_parts * n:
             raise ValueError(f"{path}: expected {n_parts * n} text rows, found {len(rows)}")
-        stacked = np.array([[float(x) for x in r.split()] for r in rows], dtype=np.float64)
-        stacked = stacked.reshape(n_parts * n, dim) if stacked.size else np.zeros((n_parts * n, dim))
+        for number, row in enumerate(rows, start=1):
+            if len(row) != dim:
+                raise ValueError(f"{path}: text row {number} holds {len(row)} values, expected {dim}")
+        try:
+            stacked = np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"{path}: text payload: {exc}") from None
+        stacked = stacked.reshape(n_parts * n, dim)
     target = stacked[n:].copy() if n_parts == 2 else None
     return EmbeddingMatrix(labels=labels, vectors=stacked[:n].copy(), algorithm_tag=tag, target=target)

@@ -5,9 +5,12 @@ and headered KGTK-style TSV where the node1/relation/node2 columns are picked
 by name. The relation column is parsed and then dropped. Lines starting with
 '#' are comments; '# node: <label>' records an isolated node so single-node
 subgraphs round-trip.
+
+`write_atomic` is the one writer of every pipeline output file.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -104,6 +107,21 @@ def graph_from_records(parsed: ParsedEdgeList) -> DiGraph:
     )
 
 
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Write `data` (text as UTF-8) to `<name>.tmp` beside `path`, then rename it
+    into place, so a killed writer leaves the old file or none, never a part of
+    one. There is no fsync: this guards against a killed process, not a power cut."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.tmp")
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_edge_list(g: DiGraph, path: str | Path, relation: str = "-") -> None:
     """TSV3 emitter; isolated nodes are kept via '# node:' comment lines."""
     labels = g.labels
@@ -111,7 +129,7 @@ def write_edge_list(g: DiGraph, path: str | Path, relation: str = "-") -> None:
     incident = np.zeros(g.node_count, dtype=bool)
     incident[np.concatenate(g.edge_array())] = True
     lines += [f"{_NODE_COMMENT}{labels[i]}" for i in np.flatnonzero(~incident).tolist()]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 @dataclass

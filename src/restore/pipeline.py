@@ -14,6 +14,7 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -32,6 +33,7 @@ from .ingest import (
     one_of,
     parse_edge_list,
     resolve_centers,
+    write_atomic,
     write_edge_list,
 )
 from .randomwalk import Node2VecConfig, node2vec_embed
@@ -97,6 +99,10 @@ class PipelineConfig:
 
     def label_mapper(self) -> Callable[[str], str]:
         return partial(default_label_mapper, prefix=self.label_prefix)
+
+    @property
+    def layout(self) -> Layout:
+        return Layout(self.output_dir)
 
     def effective_dict(self) -> dict:
         """Every effective hyperparameter, serialized for the run report."""
@@ -194,7 +200,7 @@ def config_from_manifest(
     return cfg
 
 
-# -- deterministic naming and seeding ------------------------------------
+# -- cells and the output layout ------------------------------------------
 
 
 def cell_seed(run_seed: int, center: str, hop: int, algorithm: str) -> int:
@@ -210,13 +216,75 @@ def center_slug(label: str) -> str:
     return f"{safe}_{digest}" if safe else digest
 
 
+@dataclass(frozen=True)
+class Cell:
+    """One unit of a stage's work. `center` is a center label, or a dataset's
+    name in the semantic stage, and `slug` its file-name form. An extract cell
+    has no algorithm; an unresolved center has no hop either.
+
+    `key` (`center|hN|algorithm`) names the cell in report.json, the error
+    ledgers and timings; `stem` (`slug_hN`) begins the names of its files.
+    """
+
+    center: str
+    slug: str = ""
+    hop: int | None = None
+    algorithm: str | None = None
+    seed: int = 0
+
+    @property
+    def key(self) -> str:
+        hop = None if self.hop is None else f"h{self.hop}"
+        return "|".join(part for part in (self.center, hop, self.algorithm) if part is not None)
+
+    @property
+    def stem(self) -> str:
+        return f"{self.slug}_h{self.hop}"
+
+
+class Layout:
+    """Where each file lives under the output directory; no other code names
+    one (README "Output layout")."""
+
+    def __init__(self, root: Path):
+        self.root = root
+        self.cells = root / "cells.json"
+        self.stats = root / "stats.json"
+        self.embed_log = root / "embeddings" / "embed_log.json"
+        self.report = root / "report.json"
+        self.timings = root / "timings.json"
+
+    def errors(self, stage: str) -> Path:
+        return self.root / f"errors_{stage}.json"
+
+    def stage_timings(self, stage: str) -> Path:
+        return self.root / "timings" / f"{stage}.json"
+
+    def report_csv(self, table: str) -> Path:
+        return self.root / f"report_{table}.csv"
+
+    def subgraph(self, cell: Cell) -> Path:
+        return self.root / "subgraphs" / f"{cell.stem}.tsv"
+
+    def embedding(self, cell: Cell) -> Path:
+        return self.root / "embeddings" / f"{cell.stem}_{cell.algorithm}.emb"
+
+    def recon(self, cell: Cell) -> Path:
+        return self.root / "recon" / f"{cell.stem}_{cell.algorithm}.json"
+
+    def dot(self, cell: Cell) -> Path:
+        return self.root / "dot" / f"{cell.stem}_{cell.algorithm}.dot"
+
+    def semantic(self, cell: Cell) -> Path:
+        return self.root / "semantic" / f"{cell.stem}_{cell.algorithm}.json"
+
+
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(canonical_json(obj) + "\n", encoding="utf-8")
+    write_atomic(path, canonical_json(obj) + "\n")
 
 
 def _read_json(path: Path):
@@ -241,14 +309,24 @@ def load_datasets(cfg: PipelineConfig) -> dict[str, dict]:
     return out
 
 
-def _require(cfg: PipelineConfig, stage: str, *names: str) -> None:
-    missing = [name for name in names if not (cfg.output_dir / name).exists()]
+def _require(out: Layout, stage: str, *paths: Path) -> None:
+    missing = [path.relative_to(out.root).as_posix() for path in paths if not path.exists()]
     if missing:
         raise PipelineError(f"{stage} stage requires prior outputs; missing: {missing}")
 
 
-def run_stage(cfg: PipelineConfig, stage: str, tasks: list[dict], worker) -> tuple[dict, list[dict]]:
-    """Run `worker` over tasks on a bounded thread pool; return results by cell key, and errors.
+def _load_subgraph(out: Layout, cell: Cell) -> DiGraph:
+    return graph_from_records(parse_edge_list(out.subgraph(cell), "tsv3"))
+
+
+def _reusable(path: Path) -> bool:
+    """Whether a re-run extract or embed stage keeps this file instead of
+    writing it again: the one reuse rule."""
+    return path.exists()
+
+
+def run_stage(cfg: PipelineConfig, stage: str, cells: list[Cell], worker) -> tuple[dict, list[dict]]:
+    """Run `worker` over cells on a bounded thread pool; return results by cell key, and errors.
 
     A failing cell becomes an entry of errors_<stage>.json, sorted by cell,
     and never stops its siblings. Each cell's wall time and the stage's
@@ -256,33 +334,31 @@ def run_stage(cfg: PipelineConfig, stage: str, tasks: list[dict], worker) -> tup
     """
     started = time.perf_counter()
 
-    def run_one(task):
+    def run_one(cell: Cell):
         t0 = time.perf_counter()
         try:
-            value, error = worker(task), None
+            value, error = worker(cell), None
         except Exception as exc:  # cell isolation: record, keep siblings running
-            value, error = None, {"cell": task["key"], "stage": stage, "error": str(exc)}
-        return task["key"], value, error, time.perf_counter() - t0
+            value, error = None, {"cell": cell.key, "stage": stage, "error": str(exc)}
+        return cell.key, value, error, time.perf_counter() - t0
 
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        outcomes = list(pool.map(run_one, tasks))
+        outcomes = list(pool.map(run_one, cells))
     results = {key: value for key, value, error, _ in outcomes if error is None}
     errors = sorted((error for *_, error, _ in outcomes if error is not None),
                     key=lambda e: e["cell"])
-    _write_json(cfg.output_dir / f"errors_{stage}.json", errors)
+    _write_json(cfg.layout.errors(stage), errors)
     timings = {key: seconds for key, *_, seconds in outcomes}
     timings["_stage_total"] = time.perf_counter() - started
-    _write_json(cfg.output_dir / "timings" / f"{stage}.json", timings)
+    _write_json(cfg.layout.stage_timings(stage), timings)
     return results, errors
 
 
-def _cell_tasks(cfg: PipelineConfig) -> list[dict]:
-    """One task per (center, hop, algorithm) cell of cells.json."""
+def _center_cells(cfg: PipelineConfig) -> list[Cell]:
+    """One cell per (center, hop) of cells.json and algorithm of the manifest."""
     return [
-        {"key": f"{cell['center']}|h{cell['hop']}|{algo}", "center": cell["center"],
-         "hop": cell["hop"], "algorithm": algo, "stem": f"{cell['slug']}_h{cell['hop']}",
-         "seed": cell_seed(cfg.seed, cell["center"], cell["hop"], algo)}
-        for cell in _read_json(cfg.output_dir / "cells.json")["cells"]
+        Cell(c["center"], c["slug"], c["hop"], algo, cell_seed(cfg.seed, c["center"], c["hop"], algo))
+        for c in _read_json(cfg.layout.cells)["cells"]
         for algo in cfg.manifest.algorithms
     ]
 
@@ -297,27 +373,23 @@ def run_extract(cfg: PipelineConfig) -> list[dict]:
         raise PipelineError(f"graph file {manifest.graph_path} holds no edges")
     graph = graph_from_records(parsed)
     vocab = {name: info["vocab"] for name, info in load_datasets(cfg).items()}
-    out = cfg.output_dir
-    (out / "subgraphs").mkdir(parents=True, exist_ok=True)
+    out = cfg.layout
 
     centers, unresolved = resolve_centers(manifest, vocab, graph, cfg.label_mapper())
     # unresolved explicit centers become error entries, the rest proceed
-    tasks = [{"key": label, "center": label} for label in unresolved] + [
-        {"key": f"{label}|h{hop}", "center": label, "slug": center_slug(label), "hop": hop}
-        for label in centers
-        for hop in manifest.hops
+    cells = [Cell(label) for label in unresolved] + [
+        Cell(label, center_slug(label), hop) for label in centers for hop in manifest.hops
     ]
 
-    def worker(task):
-        if not graph.has_label(task["center"]):
-            raise ValueError(f"center label not present in graph: {task['center']!r}")
-        sub = khop_ego_subgraph(graph, task["center"], task["hop"])
-        path = out / "subgraphs" / f"{task['slug']}_h{task['hop']}.tsv"
-        if not path.exists():
-            write_edge_list(sub, path)
-        return {"nodes": sub.node_count, "edges": sub.edge_count, "hop": task["hop"]}
+    def worker(cell: Cell):
+        if not graph.has_label(cell.center):
+            raise ValueError(f"center label not present in graph: {cell.center!r}")
+        sub = khop_ego_subgraph(graph, cell.center, cell.hop)
+        if not _reusable(out.subgraph(cell)):
+            write_edge_list(sub, out.subgraph(cell))
+        return {"nodes": sub.node_count, "edges": sub.edge_count, "hop": cell.hop}
 
-    stats, errors = run_stage(cfg, "extract", tasks, worker)
+    stats, errors = run_stage(cfg, "extract", cells, worker)
     per_hop = {}
     for hop in manifest.hops:
         vs = [s["nodes"] for s in stats.values() if s["hop"] == hop]
@@ -327,16 +399,15 @@ def run_extract(cfg: PipelineConfig) -> list[dict]:
                 "min_v": min(vs), "avg_v": sum(vs) / len(vs), "max_v": max(vs),
                 "min_e": min(es), "avg_e": sum(es) / len(es), "max_e": max(es),
             }
-    _write_json(out / "cells.json", {
+    _write_json(out.cells, {
         "centers": [{"label": label, "slug": center_slug(label)} for label in centers],
         "hops": list(manifest.hops),
         "algorithms": list(manifest.algorithms),
         "cells": [
-            {"center": t["center"], "slug": t["slug"], "hop": t["hop"]}
-            for t in tasks if t["key"] in stats
+            {"center": c.center, "slug": c.slug, "hop": c.hop} for c in cells if c.key in stats
         ],
     })
-    _write_json(out / "stats.json", {
+    _write_json(out.stats, {
         "graph": {"nodes": graph.node_count, "edges": graph.edge_count},
         "per_hop": per_hop,
         "cells": {k: {"nodes": v["nodes"], "edges": v["edges"]} for k, v in sorted(stats.items())},
@@ -362,29 +433,27 @@ def _embed_one(cfg: PipelineConfig, sub: DiGraph, algorithm: str, dim: int, seed
 
 
 def run_embed(cfg: PipelineConfig) -> list[dict]:
-    out = cfg.output_dir
-    _require(cfg, "embed", "cells.json")
-    (out / "embeddings").mkdir(parents=True, exist_ok=True)
+    out = cfg.layout
+    _require(out, "embed", out.cells)
 
-    def worker(task):
-        sub = graph_from_records(parse_edge_list(out / "subgraphs" / f"{task['stem']}.tsv", "tsv3"))
-        requested = cfg.dim_schedule[task["hop"]]
+    def worker(cell: Cell):
+        sub = _load_subgraph(out, cell)
+        requested = cfg.dim_schedule[cell.hop]
         effective = clamp_dim(requested, sub.node_count)
         if effective != requested:
-            log.info("cell %s: requested %d, effective %d", task["key"], requested, effective)
-        emb_path = out / "embeddings" / f"{task['stem']}_{task['algorithm']}.emb"
-        if not emb_path.exists():
-            emb = _embed_one(cfg, sub, task["algorithm"], requested, task["seed"])
-            write_embedding(emb, emb_path, cfg.emb_format)
+            log.info("cell %s: requested %d, effective %d", cell.key, requested, effective)
+        if not _reusable(out.embedding(cell)):
+            emb = _embed_one(cfg, sub, cell.algorithm, requested, cell.seed)
+            write_embedding(emb, out.embedding(cell), cfg.emb_format)
         return {
             "requested_dim": requested,
             "effective_dim": effective,
-            "cell_seed": task["seed"],
+            "cell_seed": cell.seed,
             "nodes": sub.node_count,
         }
 
-    results, errors = run_stage(cfg, "embed", _cell_tasks(cfg), worker)
-    _write_json(out / "embeddings" / "embed_log.json", dict(sorted(results.items())))
+    results, errors = run_stage(cfg, "embed", _center_cells(cfg), worker)
+    _write_json(out.embed_log, dict(sorted(results.items())))
     return errors
 
 
@@ -392,24 +461,21 @@ def run_embed(cfg: PipelineConfig) -> list[dict]:
 
 
 def run_reconstruct(cfg: PipelineConfig) -> list[dict]:
-    out = cfg.output_dir
-    _require(cfg, "reconstruct", "embeddings/embed_log.json")
-    if cfg.dot:
-        (out / "dot").mkdir(parents=True, exist_ok=True)
-    embed_log = _read_json(out / "embeddings" / "embed_log.json")
+    out = cfg.layout
+    _require(out, "reconstruct", out.embed_log)
+    embed_log = _read_json(out.embed_log)
     # a cell whose embedding failed upstream has its error recorded already
-    tasks = [task for task in _cell_tasks(cfg) if task["key"] in embed_log]
+    cells = [cell for cell in _center_cells(cfg) if cell.key in embed_log]
 
-    def worker(task):
-        stem = task["stem"]
-        sub = graph_from_records(parse_edge_list(out / "subgraphs" / f"{stem}.tsv", "tsv3"))
-        emb = read_embedding(out / "embeddings" / f"{stem}_{task['algorithm']}.emb")
-        scorer = cfg.scorers[task["algorithm"]]
+    def worker(cell: Cell):
+        sub = _load_subgraph(out, cell)
+        emb = read_embedding(out.embedding(cell))
+        scorer = cfg.scorers[cell.algorithm]
         report = reconstruction_report(emb, sub, scorer, cfg.threshold, cfg.prec_fractions)
         payload = {
-            "center": task["center"],
-            "hop": task["hop"],
-            "algorithm": task["algorithm"],
+            "center": cell.center,
+            "hop": cell.hop,
+            "algorithm": cell.algorithm,
             "scorer": scorer,
             "threshold": cfg.threshold,
             "map": report.map_score,
@@ -417,7 +483,7 @@ def run_reconstruct(cfg: PipelineConfig) -> list[dict]:
             "prediction_count": report.prediction_count,
             "nodes": sub.node_count,
             "edges": sub.edge_count,
-            "cell_seed": task["seed"],
+            "cell_seed": cell.seed,
             "diff": {
                 "added_nodes": report.diff.added_nodes,
                 "missing_nodes": report.diff.missing_nodes,
@@ -428,38 +494,34 @@ def run_reconstruct(cfg: PipelineConfig) -> list[dict]:
                 "edge_lists_truncated": max(report.diff.added_edges, report.diff.missing_edges) > 200,
             },
         }
-        _write_json(out / "recon" / f"{stem}_{task['algorithm']}.json", payload)
+        _write_json(out.recon(cell), payload)
         if cfg.dot:
             dot_src = render_dot(sub, report.diff)
             if dot_src is not None:
-                (out / "dot" / f"{stem}_{task['algorithm']}.dot").write_text(dot_src)
+                write_atomic(out.dot(cell), dot_src)
 
-    return run_stage(cfg, "reconstruct", tasks, worker)[1]
+    return run_stage(cfg, "reconstruct", cells, worker)[1]
 
 
 # -- stage: semantic ----------------------------------------------------------
 
 
-def _center_vector_lookup(cfg: PipelineConfig, hop: int, algorithm: str) -> dict[str, np.ndarray]:
+def _center_vector_lookup(out: Layout, cells: list[Cell], hop: int, algorithm: str) -> dict[str, np.ndarray]:
     """Each center's own vector, read from its ego-subgraph embedding."""
     lookup: dict[str, np.ndarray] = {}
-    for cell in _read_json(cfg.output_dir / "cells.json")["cells"]:
-        path = cfg.output_dir / "embeddings" / f"{cell['slug']}_h{hop}_{algorithm}.emb"
-        if cell["hop"] != hop or not path.exists():
-            continue
-        emb = read_embedding(path)
-        try:
-            lookup[cell["center"]] = emb.vector_for(cell["center"])
-        except ValueError:
-            continue
+    for cell in cells:
+        if (cell.hop, cell.algorithm) == (hop, algorithm) and out.embedding(cell).exists():
+            emb = read_embedding(out.embedding(cell))
+            with suppress(ValueError):  # a center missing from its own embedding has no vector
+                lookup[cell.center] = emb.vector_for(cell.center)
     return lookup
 
 
-def _semantic_tasks(cfg: PipelineConfig) -> list[dict]:
-    """One task per (dataset, hop, algorithm) of the manifest."""
+def _semantic_cells(cfg: PipelineConfig) -> list[Cell]:
+    """One cell per (dataset, hop, algorithm) of the manifest; a dataset's
+    name is its own slug."""
     return [
-        {"key": f"{name}|h{hop}|{algo}", "dataset": name, "hop": hop, "algorithm": algo,
-         "stem": f"{name}_h{hop}_{algo}"}
+        Cell(name, name, hop, algo)
         for name in sorted(cfg.manifest.dataset_paths)
         for hop in cfg.manifest.hops
         for algo in cfg.manifest.algorithms
@@ -467,35 +529,35 @@ def _semantic_tasks(cfg: PipelineConfig) -> list[dict]:
 
 
 def run_semantic(cfg: PipelineConfig) -> list[dict]:
-    out = cfg.output_dir
-    _require(cfg, "semantic", "embeddings/embed_log.json")
+    out = cfg.layout
+    _require(out, "semantic", out.cells, out.embed_log)
     mapper = cfg.label_mapper()
     datasets = load_datasets(cfg)
+    centers = _center_cells(cfg)
 
-    def worker(task):
-        lookup = _center_vector_lookup(cfg, task["hop"], task["algorithm"])
-        info = datasets[task["dataset"]]
+    def worker(cell: Cell):
+        lookup = _center_vector_lookup(out, centers, cell.hop, cell.algorithm)
+        dataset = cell.center
+        info = datasets[dataset]
         if info["kind"] == "similarity":
-            rep = similarity_mean_distance(
-                info["records"], lookup, mapper, dataset_name=task["dataset"]
-            )
+            rep = similarity_mean_distance(info["records"], lookup, mapper, dataset_name=dataset)
         else:
             rep = analogy_distance(
-                info["records"], lookup, cfg.analogy_mode, mapper, dataset_name=task["dataset"]
+                info["records"], lookup, cfg.analogy_mode, mapper, dataset_name=dataset
             )
         payload = {
-            "dataset": task["dataset"],
+            "dataset": dataset,
             "kind": info["kind"],
-            "hop": task["hop"],
-            "algorithm": task["algorithm"],
+            "hop": cell.hop,
+            "algorithm": cell.algorithm,
             "mean_distance": rep.mean_distance,
             "pairs_evaluated": rep.pairs_evaluated,
             "pairs_skipped": rep.pairs_skipped,
             "mode": rep.mode,
         }
-        _write_json(out / "semantic" / f"{task['stem']}.json", payload)
+        _write_json(out.semantic(cell), payload)
 
-    return run_stage(cfg, "semantic", _semantic_tasks(cfg), worker)[1]
+    return run_stage(cfg, "semantic", _semantic_cells(cfg), worker)[1]
 
 
 # -- stage: report --------------------------------------------------------------
@@ -505,13 +567,13 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def _load_cells(directory: Path, files: dict[str, str]) -> dict[str, dict]:
-    """Cell key -> payload for each cell (key -> file name) whose file exists,
-    read in file-name order: the order the aggregate means sum in."""
+def _load_cells(files: dict[str, Path]) -> dict[str, dict]:
+    """Cell key -> payload for each cell (key -> file) whose file exists, read
+    in file-name order: the order the aggregate means sum in."""
     cells = {}
-    for key, name in sorted(files.items(), key=lambda item: item[1]):
-        if (directory / name).exists():
-            cells[key] = _read_json(directory / name)
+    for key, path in sorted(files.items(), key=lambda item: item[1].name):
+        if path.exists():
+            cells[key] = _read_json(path)
     return cells
 
 
@@ -529,20 +591,15 @@ def _by_algorithm_hop(cfg: PipelineConfig, cells: dict[str, dict]) -> list[tuple
 
 
 def run_report(cfg: PipelineConfig) -> list[dict]:
-    out = cfg.output_dir
-    _require(cfg, "report", "cells.json", "embeddings/embed_log.json")
+    out = cfg.layout
+    _require(out, "report", out.cells, out.embed_log)
 
-    recon_cells = _load_cells(out / "recon", {
-        task["key"]: f"{task['stem']}_{task['algorithm']}.json" for task in _cell_tasks(cfg)
-    })
-    semantic_cells = _load_cells(out / "semantic", {
-        task["key"]: f"{task['stem']}.json" for task in _semantic_tasks(cfg)
-    })
+    recon_cells = _load_cells({cell.key: out.recon(cell) for cell in _center_cells(cfg)})
+    semantic_cells = _load_cells({cell.key: out.semantic(cell) for cell in _semantic_cells(cfg)})
     errors: list[dict] = []
     for stage in STAGES:
-        path = out / f"errors_{stage}.json"
-        if path.exists():
-            errors.extend(_read_json(path))
+        if out.errors(stage).exists():
+            errors.extend(_read_json(out.errors(stage)))
 
     recon_rows, diff_rows = [], []
     for algo, hop, cells in _by_algorithm_hop(cfg, recon_cells):
@@ -578,29 +635,27 @@ def run_report(cfg: PipelineConfig) -> list[dict]:
         "seed": cfg.seed,
         "config": cfg.effective_dict(),
         "graph_path": cfg.manifest.graph_path,
-        "stats": _read_json(out / "stats.json") if (out / "stats.json").exists() else {},
+        "stats": _read_json(out.stats) if out.stats.exists() else {},
         "reconstruction": {"cells": recon_cells, "aggregate": recon_rows, "diff": diff_rows},
         "semantic": {"cells": semantic_cells, "aggregate": semantic_averages, "datasets": datasets},
         "errors": errors,
     }
     validate_run_result(report)
-    _write_json(out / "report.json", report)
+    _write_json(out.report, report)
 
     prec_columns = [f"prec@{f}" for f in cfg.prec_fractions]
-    _write_csv(out / "report_recon.csv", ["algorithm", "hop", "map", *prec_columns], [
+    _write_csv(out.report_csv("recon"), ["algorithm", "hop", "map", *prec_columns], [
         {**row, **{f"prec@{f}": v for f, v in row["prec_at"].items()}} for row in recon_rows
     ])
-    _write_csv(out / "report_diff.csv", DIFF_COLUMNS, diff_rows)
-    _write_csv(out / "report_semantic.csv", SEMANTIC_COLUMNS, semantic_rows + [
+    _write_csv(out.report_csv("diff"), DIFF_COLUMNS, diff_rows)
+    _write_csv(out.report_csv("semantic"), SEMANTIC_COLUMNS, semantic_rows + [
         {**row, "dataset": "average", "mean_distance": row["average_distance"]}
         for row in semantic_averages
     ])
 
-    merged = {
-        stage: _read_json(out / "timings" / f"{stage}.json")
-        for stage in STAGES if (out / "timings" / f"{stage}.json").exists()
-    }
-    (out / "timings.json").write_text(json.dumps(merged, indent=2), encoding="utf-8")
+    merged = {stage: _read_json(out.stage_timings(stage))
+              for stage in STAGES if out.stage_timings(stage).exists()}
+    write_atomic(out.timings, json.dumps(merged, indent=2))
     return errors
 
 
@@ -610,7 +665,7 @@ def _write_csv(path: Path, columns: Sequence[str], rows: list[dict]) -> None:
     for row in rows:
         cells = (row.get(c, "") for c in columns)
         lines.append(",".join(v if isinstance(v, str) else repr(v) for v in cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def validate_run_result(report: dict) -> None:

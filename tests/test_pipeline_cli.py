@@ -1,4 +1,5 @@
 import ast
+import errno
 import importlib
 import json
 import re
@@ -15,6 +16,7 @@ from restore.ingest import load_manifest
 from restore.pipeline import (
     PipelineConfig,
     cell_seed,
+    center_slug,
     config_from_manifest,
     validate_run_result,
 )
@@ -139,6 +141,15 @@ class TestEmbIo:
         with pytest.raises(TypeError):
             write_embedding(emb, tmp_path / "e.emb", "binary")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("row, fragment", [(b"1.0 x", "'x'"), (b"1.0", "row 1 holds 1 values")],
+                             ids=["not-a-number", "short-row"])
+    def test_bad_text_row_names_the_file(self, tmp_path, row, fragment):
+        path = tmp_path / "bad.emb"
+        path.write_bytes(b"RESTORE-EMB 1\nalgorithm lap\ndim 2\nnodes 1\nparts single\nmode text\na"
+                         b"\nDATA\n" + row + b"\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{fragment}"):
+            read_embedding(path)
 
 
 class TestDefaults:
@@ -439,6 +450,85 @@ dim_schedule = 1:4,2:4,3:4
         assert cli_main(["run-all", "--config", str(manifest), "--output", str(out2),
                          "--workers", "4"]) == 0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def _readme_layout() -> list[re.Pattern]:
+    """One pattern per file line of the README's "Output layout" block; each
+    <placeholder> stands for one path component or part of one."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Output layout", 1)[1].split("```")[1]
+    names = [line.split()[0] for line in block.splitlines() if line.startswith("  ")]
+    return [re.compile(re.sub(r"<[^>]+>", "[^/]+", re.escape(name))) for name in names]
+
+
+class TestOutputFiles:
+    def test_outputs_follow_readme_layout(self, tmp_path):
+        manifest = write_world(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run-all", "--config", str(manifest), "--output", str(out), "--dot"]) == 0
+        patterns = _readme_layout()
+        written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+        assert [p for p in written if not any(pat.fullmatch(p) for pat in patterns)] == []
+        assert [pat.pattern for pat in patterns if not any(pat.fullmatch(p) for p in written)] == []
+        # the names a reader of the files derives from a report cell alone
+        report = json.loads((out / "report.json").read_text())
+        for cell in report["reconstruction"]["cells"].values():
+            stem = f"{center_slug(cell['center'])}_h{cell['hop']}"
+            assert (out / "subgraphs" / f"{stem}.tsv").is_file()
+            assert (out / "embeddings" / f"{stem}_{cell['algorithm']}.emb").is_file()
+
+    @pytest.mark.parametrize("target, code", [
+        ("cells.json", 2),  # the stage fails as a whole
+        (f"subgraphs/{center_slug('/c/en/cat')}_h1.tsv", 3),  # one cell fails
+    ], ids=["json", "tsv"])
+    def test_interrupted_write_leaves_nothing(self, tmp_path, monkeypatch, target, code):
+        """A write that fails half way leaves neither a part of the file at its
+        target nor a temporary file beside it."""
+        manifest = write_world(tmp_path)
+        out = tmp_path / "out"
+        real_open = Path.open
+
+        class Torn:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "disk full half way")
+
+        def torn_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            if "w" in mode and path.as_posix().startswith((out / target).as_posix()):
+                return Torn(fh)
+            return fh
+
+        monkeypatch.setattr(Path, "open", torn_open)
+        assert cli_main(["extract", "--config", str(manifest), "--output", str(out)]) == code
+        assert not (out / target).exists()
+        assert list(out.rglob("*.tmp")) == []
+
+    def test_leftover_tmp_files_do_not_change_a_rerun(self, tmp_path):
+        manifest = write_world(tmp_path)
+        out = tmp_path / "out"
+        args = ["run-all", "--config", str(manifest), "--output", str(out)]
+        assert cli_main(args) == 0
+        before = (out / "report.json").read_bytes()
+        # what killed writers leave behind: cut-short temp files beside their targets
+        recon = next((out / "recon").glob("*.json"))
+        recon.with_name(recon.name + ".tmp").write_bytes(recon.read_bytes()[:20])
+        (out / "recon" / "stray_h1_lap.json.tmp").write_text("{")
+        emb = next((out / "embeddings").glob("*.emb"))
+        emb.with_name(emb.name + ".tmp").write_bytes(emb.read_bytes()[:20])
+        emb.unlink()  # killed before the rename: only the temp file is there
+        assert cli_main(args) == 0
+        assert (out / "report.json").read_bytes() == before
+        assert emb.is_file()
 
 
 def test_benchmark_traced_names_resolve():
