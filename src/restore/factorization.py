@@ -115,15 +115,8 @@ def hope_embed(g: DiGraph, d: int, beta: float = 0.01) -> EmbeddingMatrix:
     target matrices are U sqrt(Sigma) and V sqrt(Sigma), so Y_s @ Y_t.T is the
     best rank-d approximation of S.
     """
-    n = g.node_count
-    d_eff = clamp_dim(d, n)
-    s = katz_similarity(g, beta)
-    if n == 1:
-        ys = np.zeros((1, d_eff))
-        yt = np.zeros((1, d_eff))
-    else:
-        res = truncated_svd(s, d_eff)
-        half = np.sqrt(res.sigma)
-        ys = res.u * half[None, :]
-        yt = res.v * half[None, :]
+    res = truncated_svd(katz_similarity(g, beta), clamp_dim(d, g.node_count))
+    half = np.sqrt(res.sigma)
+    ys = res.u * half[None, :]
+    yt = res.v * half[None, :]
     return EmbeddingMatrix(labels=g.labels, vectors=ys, algorithm_tag="hope", target=yt)

@@ -2,9 +2,9 @@
 
 Two edge-list formats are read: plain three-column TSV (src, relation, dst)
 and headered KGTK-style TSV where the node1/relation/node2 columns are picked
-by name. The relation column is parsed and then dropped. Lines starting with
-'#' are comments; '# node: <label>' records an isolated node so single-node
-subgraphs round-trip.
+by name. The relation column must be present, but its value is not kept: an
+edge is a (src, dst) label pair. Lines starting with '#' are comments;
+'# node: <label>' records an isolated node so single-node subgraphs round-trip.
 
 `write_atomic` is the one writer of every pipeline output file.
 """
@@ -29,16 +29,8 @@ _NODE_COMMENT = "# node: "
 
 
 @dataclass
-class EdgeRecord:
-    src: str
-    relation: str
-    dst: str
-    source_line: int
-
-
-@dataclass
 class ParsedEdgeList:
-    records: list[EdgeRecord]
+    edges: list[tuple[str, str]]  # (src, dst) labels in file order
     isolated_nodes: list[str]
     diagnostics: list[str]
 
@@ -52,22 +44,21 @@ def parse_edge_list(path: str | Path, fmt: str = "tsv3") -> ParsedEdgeList:
     if fmt not in EDGE_FORMATS:
         raise ValueError(f"unknown edge-list format {fmt!r}; expected one of {EDGE_FORMATS}")
     text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    records: list[EdgeRecord] = []
+    edges: list[tuple[str, str]] = []
     isolated: list[str] = []
     diagnostics: list[str] = []
     data_lines = 0
 
-    col_src, col_rel, col_dst = 0, 1, 2
-    header_seen = False
-    for line_no, line in enumerate(lines, start=1):
+    col_src, col_dst, needed = 0, 2, 3
+    header_seen = fmt != "tsv_kgtk"
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if line.startswith(_NODE_COMMENT):
             isolated.append(line[len(_NODE_COMMENT):].strip())
             continue
         if not line.strip() or line.startswith("#"):
             continue
-        parts = line.rstrip("\n").split("\t")
-        if fmt == "tsv_kgtk" and not header_seen:
+        parts = line.split("\t")
+        if not header_seen:
             header_seen = True
             cols = [c.strip() for c in parts]
             try:
@@ -78,33 +69,26 @@ def parse_edge_list(path: str | Path, fmt: str = "tsv3") -> ParsedEdgeList:
                 raise ValueError(
                     f"{path}: kgtk header must name node1/relation/node2 columns, got {cols}"
                 ) from None
+            needed = max(col_src, col_rel, col_dst) + 1
             continue
         data_lines += 1
-        needed = max(col_src, col_rel, col_dst) + 1
-        if len(parts) < needed or not parts[col_src].strip() or not parts[col_dst].strip():
-            diagnostics.append(f"line {line_no}: expected {needed} tab-separated columns")
-            continue
-        records.append(
-            EdgeRecord(
-                src=parts[col_src].strip(),
-                relation=parts[col_rel].strip(),
-                dst=parts[col_dst].strip(),
-                source_line=line_no,
-            )
-        )
+        if len(parts) >= needed:
+            src, dst = parts[col_src].strip(), parts[col_dst].strip()
+            if src and dst:
+                edges.append((src, dst))
+                continue
+        diagnostics.append(f"line {line_no}: expected {needed} tab-separated columns")
     if data_lines and len(diagnostics) / data_lines > _MALFORMED_LIMIT:
         sample = "; ".join(diagnostics[:5])
         raise ValueError(
             f"{path}: {len(diagnostics)} of {data_lines} lines malformed "
             f"(over the {_MALFORMED_LIMIT:.0%} tolerance): {sample}"
         )
-    return ParsedEdgeList(records=records, isolated_nodes=isolated, diagnostics=diagnostics)
+    return ParsedEdgeList(edges=edges, isolated_nodes=isolated, diagnostics=diagnostics)
 
 
 def graph_from_records(parsed: ParsedEdgeList) -> DiGraph:
-    return graph_from_labeled_edges(
-        ((r.src, r.dst) for r in parsed.records), extra_nodes=parsed.isolated_nodes
-    )
+    return graph_from_labeled_edges(parsed.edges, extra_nodes=parsed.isolated_nodes)
 
 
 def write_atomic(path: str | Path, data: str | bytes) -> None:
@@ -122,10 +106,11 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
         raise
 
 
-def write_edge_list(g: DiGraph, path: str | Path, relation: str = "-") -> None:
-    """TSV3 emitter; isolated nodes are kept via '# node:' comment lines."""
+def write_edge_list(g: DiGraph, path: str | Path) -> None:
+    """TSV3 emitter with relation '-'; isolated nodes are kept via '# node:'
+    comment lines."""
     labels = g.labels
-    lines = [f"{labels[i]}\t{relation}\t{labels[j]}" for i, j in g.edges()]
+    lines = [f"{labels[i]}\t-\t{labels[j]}" for i, j in g.edges()]
     incident = np.zeros(g.node_count, dtype=bool)
     incident[np.concatenate(g.edge_array())] = True
     lines += [f"{_NODE_COMMENT}{labels[i]}" for i in np.flatnonzero(~incident).tolist()]

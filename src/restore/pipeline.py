@@ -1,11 +1,13 @@
 """Pipeline stages: extract -> embed -> reconstruct -> semantic -> report.
 
 Every stage reads files written by the previous one and writes files of its
-own, so a 5000-center batch can resume or re-run any stage. Cells are
+own, so a 5000-center batch can resume or re-run any stage; only embed keeps
+an output file (an existing `.emb`) instead of writing it again. Cells are
 (center, hop, algorithm) units; each gets a seed derived by stable hash of
 (run seed, center, hop, algorithm), so results do not depend on worker
-scheduling. A failing cell is recorded in the stage's error ledger and never
-aborts its siblings.
+scheduling. A failing cell is recorded in the stage's error ledger, never
+aborts its siblings, and is left out of report.json. Each per-cell stage
+merges its wall times into timings.json.
 """
 from __future__ import annotations
 
@@ -257,9 +259,6 @@ class Layout:
     def errors(self, stage: str) -> Path:
         return self.root / f"errors_{stage}.json"
 
-    def stage_timings(self, stage: str) -> Path:
-        return self.root / "timings" / f"{stage}.json"
-
     def report_csv(self, table: str) -> Path:
         return self.root / f"report_{table}.csv"
 
@@ -294,8 +293,15 @@ def _read_json(path: Path):
 # -- shared loading -------------------------------------------------------
 
 
+def _warn_skipped(path: str | Path, diagnostics: list[str]) -> None:
+    """Name the malformed input lines a loader skipped, on the log only."""
+    if diagnostics:
+        log.warning("%s: skipped %d malformed line(s): %s",
+                    path, len(diagnostics), "; ".join(diagnostics[:5]))
+
+
 def load_datasets(cfg: PipelineConfig) -> dict[str, dict]:
-    """name -> {kind, records, vocab, diagnostics}"""
+    """name -> {kind, records, vocab}"""
     out = {}
     for name, (kind, path) in sorted(cfg.manifest.dataset_paths.items()):
         if kind == "similarity":
@@ -305,7 +311,8 @@ def load_datasets(cfg: PipelineConfig) -> dict[str, dict]:
         else:
             records, diags = load_analogy_dataset(path)
             vocab = analogy_vocab(records)
-        out[name] = {"kind": kind, "records": records, "vocab": vocab, "diagnostics": diags}
+        _warn_skipped(path, diags)
+        out[name] = {"kind": kind, "records": records, "vocab": vocab}
     return out
 
 
@@ -320,8 +327,8 @@ def _load_subgraph(out: Layout, cell: Cell) -> DiGraph:
 
 
 def _reusable(path: Path) -> bool:
-    """Whether a re-run extract or embed stage keeps this file instead of
-    writing it again: the one reuse rule."""
+    """Whether a re-run embed stage keeps this file instead of writing it
+    again: the one reuse rule."""
     return path.exists()
 
 
@@ -330,7 +337,7 @@ def run_stage(cfg: PipelineConfig, stage: str, cells: list[Cell], worker) -> tup
 
     A failing cell becomes an entry of errors_<stage>.json, sorted by cell,
     and never stops its siblings. Each cell's wall time and the stage's
-    `_stage_total` go to timings/<stage>.json.
+    `_stage_total` replace the stage's entry in timings.json.
     """
     started = time.perf_counter()
 
@@ -347,10 +354,12 @@ def run_stage(cfg: PipelineConfig, stage: str, cells: list[Cell], worker) -> tup
     results = {key: value for key, value, error, _ in outcomes if error is None}
     errors = sorted((error for *_, error, _ in outcomes if error is not None),
                     key=lambda e: e["cell"])
-    _write_json(cfg.layout.errors(stage), errors)
-    timings = {key: seconds for key, *_, seconds in outcomes}
-    timings["_stage_total"] = time.perf_counter() - started
-    _write_json(cfg.layout.stage_timings(stage), timings)
+    out = cfg.layout
+    _write_json(out.errors(stage), errors)
+    timings = _read_json(out.timings) if out.timings.exists() else {}
+    timings[stage] = {key: seconds for key, *_, seconds in outcomes}
+    timings[stage]["_stage_total"] = time.perf_counter() - started
+    write_atomic(out.timings, json.dumps(timings, indent=2))
     return results, errors
 
 
@@ -369,8 +378,9 @@ def _center_cells(cfg: PipelineConfig) -> list[Cell]:
 def run_extract(cfg: PipelineConfig) -> list[dict]:
     manifest = cfg.manifest
     parsed = parse_edge_list(manifest.graph_path, manifest.graph_format)
-    if not parsed.records and not parsed.isolated_nodes:
+    if not parsed.edges and not parsed.isolated_nodes:
         raise PipelineError(f"graph file {manifest.graph_path} holds no edges")
+    _warn_skipped(manifest.graph_path, parsed.diagnostics)
     graph = graph_from_records(parsed)
     vocab = {name: info["vocab"] for name, info in load_datasets(cfg).items()}
     out = cfg.layout
@@ -385,8 +395,7 @@ def run_extract(cfg: PipelineConfig) -> list[dict]:
         if not graph.has_label(cell.center):
             raise ValueError(f"center label not present in graph: {cell.center!r}")
         sub = khop_ego_subgraph(graph, cell.center, cell.hop)
-        if not _reusable(out.subgraph(cell)):
-            write_edge_list(sub, out.subgraph(cell))
+        write_edge_list(sub, out.subgraph(cell))
         return {"nodes": sub.node_count, "edges": sub.edge_count, "hop": cell.hop}
 
     stats, errors = run_stage(cfg, "extract", cells, worker)
@@ -506,17 +515,6 @@ def run_reconstruct(cfg: PipelineConfig) -> list[dict]:
 # -- stage: semantic ----------------------------------------------------------
 
 
-def _center_vector_lookup(out: Layout, cells: list[Cell], hop: int, algorithm: str) -> dict[str, np.ndarray]:
-    """Each center's own vector, read from its ego-subgraph embedding."""
-    lookup: dict[str, np.ndarray] = {}
-    for cell in cells:
-        if (cell.hop, cell.algorithm) == (hop, algorithm) and out.embedding(cell).exists():
-            emb = read_embedding(out.embedding(cell))
-            with suppress(ValueError):  # a center missing from its own embedding has no vector
-                lookup[cell.center] = emb.vector_for(cell.center)
-    return lookup
-
-
 def _semantic_cells(cfg: PipelineConfig) -> list[Cell]:
     """One cell per (dataset, hop, algorithm) of the manifest; a dataset's
     name is its own slug."""
@@ -533,10 +531,26 @@ def run_semantic(cfg: PipelineConfig) -> list[dict]:
     _require(out, "semantic", out.cells, out.embed_log)
     mapper = cfg.label_mapper()
     datasets = load_datasets(cfg)
-    centers = _center_cells(cfg)
+    embed_log = _read_json(out.embed_log)
+    # (hop, algorithm) -> each center's own vector, read once from the
+    # embedding of every cell embed_log.json lists and shared by all datasets;
+    # or the error of a file that cannot be read, which fails each dataset's cell
+    lookups: dict[tuple[int, str], dict[str, np.ndarray] | Exception] = {}
+    for cell in _center_cells(cfg):
+        lookup = lookups.setdefault((cell.hop, cell.algorithm), {})
+        if cell.key in embed_log and isinstance(lookup, dict):
+            try:
+                emb = read_embedding(out.embedding(cell))
+            except (OSError, ValueError) as exc:
+                lookups[cell.hop, cell.algorithm] = exc
+                continue
+            with suppress(ValueError):  # a center missing from its own embedding has no vector
+                lookup[cell.center] = emb.vector_for(cell.center)
 
     def worker(cell: Cell):
-        lookup = _center_vector_lookup(out, centers, cell.hop, cell.algorithm)
+        lookup = lookups.get((cell.hop, cell.algorithm), {})
+        if isinstance(lookup, Exception):
+            raise lookup
         dataset = cell.center
         info = datasets[dataset]
         if info["kind"] == "similarity":
@@ -594,12 +608,17 @@ def run_report(cfg: PipelineConfig) -> list[dict]:
     out = cfg.layout
     _require(out, "report", out.cells, out.embed_log)
 
-    recon_cells = _load_cells({cell.key: out.recon(cell) for cell in _center_cells(cfg)})
-    semantic_cells = _load_cells({cell.key: out.semantic(cell) for cell in _semantic_cells(cfg)})
     errors: list[dict] = []
     for stage in STAGES:
         if out.errors(stage).exists():
             errors.extend(_read_json(out.errors(stage)))
+    # a cell a ledger lists is left out, whatever an earlier run left in its file
+    failed_recon = {e["cell"] for e in errors if e["stage"] in ("embed", "reconstruct")}
+    failed_semantic = {e["cell"] for e in errors if e["stage"] == "semantic"}
+    recon_cells = _load_cells({cell.key: out.recon(cell) for cell in _center_cells(cfg)
+                               if cell.key not in failed_recon})
+    semantic_cells = _load_cells({cell.key: out.semantic(cell) for cell in _semantic_cells(cfg)
+                                  if cell.key not in failed_semantic})
 
     recon_rows, diff_rows = [], []
     for algo, hop, cells in _by_algorithm_hop(cfg, recon_cells):
@@ -652,10 +671,6 @@ def run_report(cfg: PipelineConfig) -> list[dict]:
         {**row, "dataset": "average", "mean_distance": row["average_distance"]}
         for row in semantic_averages
     ])
-
-    merged = {stage: _read_json(out.stage_timings(stage))
-              for stage in STAGES if out.stage_timings(stage).exists()}
-    write_atomic(out.timings, json.dumps(merged, indent=2))
     return errors
 
 

@@ -16,17 +16,13 @@ class TestParseEdgeList:
         f = tmp_path / "e.tsv"
         f.write_text("a\trel\tb\n")
         parsed = parse_edge_list(f, "tsv3")
-        assert len(parsed.records) == 1
-        rec = parsed.records[0]
-        assert (rec.src, rec.relation, rec.dst, rec.source_line) == ("a", "rel", "b", 1)
+        assert parsed.edges == [("a", "b")]
 
     def test_kgtk_header(self, tmp_path):
         f = tmp_path / "e.tsv"
         f.write_text("id\tnode1\trelation\tnode2\textra\nr1\ta\tlikes\tb\tx\n")
         parsed = parse_edge_list(f, "tsv_kgtk")
-        assert len(parsed.records) == 1
-        assert parsed.records[0].src == "a"
-        assert parsed.records[0].dst == "b"
+        assert parsed.edges == [("a", "b")]
 
     def test_kgtk_missing_columns(self, tmp_path):
         f = tmp_path / "e.tsv"
@@ -45,10 +41,11 @@ class TestParseEdgeList:
     def test_below_threshold_collects_diagnostics(self, tmp_path):
         good = [f"a{i}\tr\tb{i}" for i in range(200)]
         f = tmp_path / "e.tsv"
-        f.write_text("\n".join(good[:100] + ["oops"] + good[100:]) + "\n")
+        # a line without its relation column is malformed, though the value is dropped
+        f.write_text("\n".join(good[:100] + ["a\tb"] + good[100:]) + "\n")
         parsed = parse_edge_list(f, "tsv3")
-        assert len(parsed.records) == 200
-        assert len(parsed.diagnostics) == 1
+        assert len(parsed.edges) == 200
+        assert parsed.diagnostics == ["line 101: expected 3 tab-separated columns"]
 
     def test_unknown_format(self, tmp_path):
         f = tmp_path / "e.tsv"
@@ -77,7 +74,7 @@ class TestParseEdgeList:
         f.write_text("b\tr\ta\na\tr\tc\n")
         p1 = parse_edge_list(f, "tsv3")
         p2 = parse_edge_list(f, "tsv3")
-        assert [(r.src, r.dst) for r in p1.records] == [(r.src, r.dst) for r in p2.records]
+        assert p1.edges == p2.edges == [("b", "a"), ("a", "c")]
 
 
 class TestManifest:

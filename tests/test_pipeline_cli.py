@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from restore import pipeline
 from restore.cli import main as cli_main
 from restore.emb_io import read_embedding, write_embedding
 from restore.factorization import EmbeddingMatrix, hope_embed
 from restore.graph import build_graph
-from restore.ingest import load_manifest
+from restore.ingest import graph_from_records, load_manifest, parse_edge_list
 from restore.pipeline import (
     PipelineConfig,
     cell_seed,
@@ -231,6 +232,92 @@ class TestCliRuns:
         assert [p.name for p in subs1] == [p.name for p in subs2]
         for p1, p2 in zip(subs1, subs2):
             assert p1.read_bytes() == p2.read_bytes()
+
+    def test_extract_rewrites_every_subgraph(self, tmp_path):
+        """A re-run on a smaller graph leaves no subgraph of the old one behind."""
+        manifest = write_world(tmp_path)
+        out = tmp_path / "out"
+        args = ["extract", "--config", str(manifest), "--output", str(out)]
+        assert cli_main(args) == 0
+        (tmp_path / "graph.tsv").write_text("".join(TOY_GRAPH.splitlines(keepends=True)[:6]))
+        assert cli_main(args) == 0
+        stats = json.loads((out / "stats.json").read_text())["cells"]
+        for cell in json.loads((out / "cells.json").read_text())["cells"]:
+            sub = graph_from_records(parse_edge_list(
+                out / "subgraphs" / f"{cell['slug']}_h{cell['hop']}.tsv"))
+            counts = stats[f"{cell['center']}|h{cell['hop']}"]
+            assert (sub.node_count, sub.edge_count) == (counts["nodes"], counts["edges"])
+
+    def test_stage_alone_updates_timings(self, tmp_path):
+        manifest = write_world(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["extract", "--config", str(manifest), "--output", str(out)]) == 0
+        timings = json.loads((out / "timings.json").read_text())
+        assert list(timings) == ["extract"]
+        assert "_stage_total" in timings["extract"]
+        assert set(timings["extract"]) - {"_stage_total"} == set(
+            json.loads((out / "stats.json").read_text())["cells"])
+        assert cli_main(["embed", "--config", str(manifest), "--output", str(out)]) == 0
+        timings = json.loads((out / "timings.json").read_text())
+        assert list(timings) == ["extract", "embed"]
+        assert not (out / "timings").exists()
+
+    def test_semantic_reads_each_embedding_once(self, tmp_path, monkeypatch):
+        manifest = write_world(tmp_path)
+        out = tmp_path / "out"
+        for stage in ("extract", "embed"):
+            assert cli_main([stage, "--config", str(manifest), "--output", str(out)]) == 0
+        reads = []
+
+        def counting_read(path):
+            reads.append(Path(path).name)
+            return read_embedding(path)
+
+        monkeypatch.setattr(pipeline, "read_embedding", counting_read)
+        args = ["semantic", "--config", str(manifest), "--output", str(out)]
+        assert cli_main(args) == 0
+        embed_log = json.loads((out / "embeddings" / "embed_log.json").read_text())
+        assert len(reads) == len(set(reads)) == len(embed_log)
+        # an embedding that cannot be read fails each dataset's cell of its (hop, algorithm)
+        bad = out / "embeddings" / f"{center_slug('/c/en/cat')}_h1_lap.emb"
+        bad.write_bytes(b"not an embedding")
+        assert cli_main(args) == 3
+        errors = json.loads((out / "errors_semantic.json").read_text())
+        assert [e["cell"] for e in errors] == ["toyan|h1|lap", "toysim|h1|lap"]
+        assert all(e["error"].startswith(f"{bad}: ") for e in errors)
+
+    def test_report_leaves_out_cells_failed_this_run(self, tmp_path):
+        manifest = write_world(tmp_path, algorithms=("hope", "lap"))
+        out = tmp_path / "out"
+        args = ["run-all", "--config", str(manifest), "--output", str(out)]
+        assert cli_main(args) == 0
+        with manifest.open("a") as fh:
+            fh.write("scorer.hope = dot\n")  # HOPE's two matrices cannot be scored by dot
+        assert cli_main(args) == 3
+        report = json.loads((out / "report.json").read_text())
+        failed = {e["cell"] for e in report["errors"]}
+        assert failed and all(key.endswith("|hope") for key in failed)
+        cells = report["reconstruction"]["cells"]
+        assert cells and not failed & set(cells)
+        assert {c["scorer"] for c in cells.values()} == {report["config"]["scorers"]["lap"]}
+        assert {row["algorithm"] for row in report["reconstruction"]["aggregate"]} == {"lap"}
+
+    def test_skipped_input_lines_are_logged(self, tmp_path, caplog):
+        graph = [f"/c/en/w{i}\tr\t/c/en/w{i + 1}" for i in range(200)]
+        (tmp_path / "graph.tsv").write_text("\n".join(graph[:50] + ["/c/en/w7"] + graph[50:]) + "\n")
+        (tmp_path / "sim.tsv").write_text("w0\tw1\t5.0\nw1\tw2\tmany\n")
+        manifest = tmp_path / "run.cfg"
+        manifest.write_text(f"graph_path = {tmp_path / 'graph.tsv'}\n"
+                            f"dataset = sim similarity {tmp_path / 'sim.tsv'}\n"
+                            "hop = 1\nalgorithm = lap\n")
+        out = tmp_path / "out"
+        assert cli_main(["extract", "--config", str(manifest), "--output", str(out)]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [
+            f"{tmp_path / 'graph.tsv'}: skipped 1 malformed line(s): "
+            "line 51: expected 3 tab-separated columns",
+            f"{tmp_path / 'sim.tsv'}: skipped 1 malformed line(s): line 2: non-numeric score 'many'",
+        ]
 
     def test_run_all_byte_identical_report(self, tmp_path):
         manifest = write_world(tmp_path)
