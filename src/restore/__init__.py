@@ -1,100 +1,3 @@
 """Ego-subgraph embedding, graph reconstruction, and semantic scoring toolkit."""
 
-from .factorization import (
-    EmbeddingMatrix,
-    clamp_dim,
-    hope_embed,
-    lap_embed,
-    lle_embed,
-)
-from .graph import (
-    DiGraph,
-    GraphDiff,
-    GraphStats,
-    build_graph,
-    gen_synthetic,
-    graph_diff,
-    graph_stats,
-    khop_ego_subgraph,
-)
-from .linalg import EigenResult, SvdResult, katz_similarity, sym_eig_smallest, truncated_svd
-from .randomwalk import (
-    Node2VecConfig,
-    WalkCorpus,
-    generate_walks,
-    node2vec_embed,
-    train_sgns,
-)
-from .reconstruct import (
-    RankedPredictions,
-    ReconReport,
-    ScoreMatrix,
-    mean_average_precision,
-    normalize_scores,
-    pairwise_scores,
-    precision_at_k,
-    predict_edges,
-    reconstruction_report,
-)
-from .sdne import MlpStack, SdneParams, gradient_check, sdne_loss, sdne_train
-from .semantic import (
-    AnalogyQuad,
-    SemanticReport,
-    SimilarityPair,
-    analogy_distance,
-    euclidean_distance,
-    load_analogy_dataset,
-    load_similarity_dataset,
-    similarity_mean_distance,
-    vocab_overlap,
-)
-
-__all__ = [
-    "AnalogyQuad",
-    "DiGraph",
-    "EigenResult",
-    "EmbeddingMatrix",
-    "GraphDiff",
-    "GraphStats",
-    "MlpStack",
-    "Node2VecConfig",
-    "RankedPredictions",
-    "ReconReport",
-    "ScoreMatrix",
-    "SemanticReport",
-    "SimilarityPair",
-    "SvdResult",
-    "WalkCorpus",
-    "analogy_distance",
-    "build_graph",
-    "clamp_dim",
-    "euclidean_distance",
-    "gen_synthetic",
-    "generate_walks",
-    "gradient_check",
-    "graph_diff",
-    "graph_stats",
-    "hope_embed",
-    "katz_similarity",
-    "khop_ego_subgraph",
-    "lap_embed",
-    "lle_embed",
-    "load_analogy_dataset",
-    "load_similarity_dataset",
-    "mean_average_precision",
-    "node2vec_embed",
-    "normalize_scores",
-    "pairwise_scores",
-    "precision_at_k",
-    "predict_edges",
-    "reconstruction_report",
-    "sdne_loss",
-    "sdne_train",
-    "similarity_mean_distance",
-    "sym_eig_smallest",
-    "train_sgns",
-    "truncated_svd",
-    "vocab_overlap",
-]
-
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Directed unweighted graphs: construction, k-hop ego extraction, stats, diffs.
+"""Directed unweighted graphs: construction, k-hop ego extraction, diffs.
 
 Graphs are immutable after construction and safe to share across workers.
 Adjacency is stored CSR-style in both directions with sorted rows, so
@@ -10,18 +10,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-
-
-@dataclass
-class GraphStats:
-    node_count: int
-    edge_count: int
-    out_degree_min: int
-    out_degree_avg: float
-    out_degree_max: int
-    in_degree_min: int
-    in_degree_avg: float
-    in_degree_max: int
 
 
 @dataclass
@@ -42,8 +30,8 @@ class DiGraph:
     The constructor is the one place where edges are normalised: it takes
     (src, dst) index pairs in any order, drops self-loops (reconstruction
     never scores the diagonal) and collapses repeated pairs. It admits empty
-    graphs, which the reconstruction diff needs; :func:`build_graph` is the
-    public path from labels.
+    graphs, which the reconstruction diff needs; :func:`graph_from_labeled_edges`
+    builds one from label pairs.
     """
 
     __slots__ = ("_labels", "_index", "out_indptr", "out_indices", "in_indptr", "in_indices")
@@ -101,11 +89,6 @@ class DiGraph:
     def in_neighbors(self, i: int) -> np.ndarray:
         return self.in_indices[self.in_indptr[i]:self.in_indptr[i + 1]]
 
-    def has_edge(self, i: int, j: int) -> bool:
-        row = self.out_neighbors(i)
-        pos = np.searchsorted(row, j)
-        return bool(pos < row.shape[0] and row[pos] == j)
-
     def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
         """(sources, targets) of every edge, sorted by source, then target."""
         return np.repeat(np.arange(self.node_count), np.diff(self.out_indptr)), self.out_indices
@@ -124,30 +107,13 @@ class DiGraph:
         return a
 
 
-def build_graph(edges: Iterable[tuple[str, str]]) -> DiGraph:
-    """Build a deduplicated directed graph from (src, dst) label pairs.
-
-    Indices are assigned in first-seen order; self-loops are dropped because
-    reconstruction never scores the diagonal.
-    """
-    def checked(label: str) -> str:
-        if not isinstance(label, str) or not label:
-            raise ValueError(f"node labels must be non-empty text, got {label!r}")
-        return label
-
-    g = graph_from_labeled_edges((checked(src), checked(dst)) for src, dst in edges)
-    if g.node_count == 0:
-        raise ValueError("empty graph")
-    return g
-
-
 def graph_from_labeled_edges(
     edges: Iterable[tuple[str, str]], extra_nodes: Iterable[str] = ()
 ) -> DiGraph:
     """Deduplicated graph from (src, dst) label pairs plus `extra_nodes`.
 
-    Unlike build_graph it admits isolated nodes and an empty edge set.
-    Indices are assigned in first-seen order, source before target.
+    It admits isolated nodes and an empty edge set. Indices are assigned in
+    first-seen order, source before target.
     """
     index: dict[str, int] = {}
     pairs = [(index.setdefault(src, len(index)), index.setdefault(dst, len(index)))
@@ -191,22 +157,6 @@ def khop_ego_subgraph(g: DiGraph, center: str, hops: int) -> DiGraph:
         if j in remap
     ]
     return DiGraph(labels, pairs)
-
-
-def graph_stats(g: DiGraph) -> GraphStats:
-    n = g.node_count
-    out_deg = np.diff(g.out_indptr)
-    in_deg = np.diff(g.in_indptr)
-    return GraphStats(
-        node_count=n,
-        edge_count=g.edge_count,
-        out_degree_min=int(out_deg.min()) if n else 0,
-        out_degree_avg=float(out_deg.mean()) if n else 0.0,
-        out_degree_max=int(out_deg.max()) if n else 0,
-        in_degree_min=int(in_deg.min()) if n else 0,
-        in_degree_avg=float(in_deg.mean()) if n else 0.0,
-        in_degree_max=int(in_deg.max()) if n else 0,
-    )
 
 
 def graph_diff(original: DiGraph, reconstructed: DiGraph) -> GraphDiff:

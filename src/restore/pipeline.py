@@ -136,6 +136,13 @@ def _positive(value: str) -> float:
     return parsed
 
 
+def _unit_interval(value: str | float) -> float:
+    parsed = float(value)
+    if not 0.0 <= parsed <= 1.0:  # also refuses nan
+        raise ValueError(f"{value!r} is not in [0, 1]")
+    return parsed
+
+
 def _option_casts(hops: Sequence[int]) -> dict[str, Callable[[str], object]]:
     """Manifest option key -> parser, walked from the config's own fields.
 
@@ -155,7 +162,7 @@ def _option_casts(hops: Sequence[int]) -> dict[str, Callable[[str], object]]:
                 if sub != "epochs"
             })
     casts.update(emb_format=one_of(*EMB_FORMATS), analogy_mode=one_of(*ANALOGY_MODES),
-                 hope_beta=_positive)
+                 hope_beta=_positive, threshold=_unit_interval)
     return casts
 
 
@@ -172,14 +179,17 @@ def config_from_manifest(
 
     Each value is applied as its line is read, so an unknown option key, a
     value its field cannot parse, or one that the embedder settings reject
-    raises ValueError naming the manifest line it came from.
+    raises ValueError naming the manifest line it came from. An out-of-range
+    `workers` or `threshold` override raises ValueError naming its flag.
     """
+    if workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {workers}")
     casts = _option_casts(manifest.hops)
     cfg = PipelineConfig(
         manifest=replace(manifest, graph_format=graph_format) if graph_format else manifest,
         output_dir=Path(output_dir),
         seed=manifest.seed if seed is None else seed,
-        workers=max(1, workers),
+        workers=workers,
         dot=dot,
     )
     for key, raw in manifest.options.items():
@@ -198,7 +208,10 @@ def config_from_manifest(
         except ValueError as exc:
             raise ValueError(f"{where}: bad value for {key}: {exc}") from None
     if threshold is not None:
-        cfg.threshold = threshold
+        try:
+            cfg.threshold = _unit_interval(threshold)
+        except ValueError as exc:
+            raise ValueError(f"bad value for --threshold: {exc}") from None
     return cfg
 
 

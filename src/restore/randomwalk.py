@@ -20,7 +20,6 @@ from .graph import DiGraph
 class WalkCorpus:
     walks: list[np.ndarray]
     walk_length: int
-    walks_per_node: int
 
 
 @dataclass
@@ -97,7 +96,7 @@ def generate_walks(
         for node in range(g.node_count)
         for w in range(walks_per_node)
     ]
-    return WalkCorpus(walks=walks, walk_length=walk_length, walks_per_node=walks_per_node)
+    return WalkCorpus(walks=walks, walk_length=walk_length)
 
 
 # -- skip-gram with negative sampling ------------------------------------
@@ -172,52 +171,6 @@ def _noise_distribution(corpus: WalkCorpus, node_count: int) -> np.ndarray:
     if total == 0.0:
         return np.full(node_count, 1.0 / node_count)
     return powered / total
-
-
-def sgns_pair_gradients(
-    v_center: np.ndarray, u_context: np.ndarray, u_negatives: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss and analytic gradients of one (center, context, negatives) sample.
-
-    loss = -log sigmoid(u_ctx . v) - sum_n log sigmoid(-u_n . v); gradients
-    returned for v, u_ctx and each negative row.
-    """
-    f_pos = float(u_context @ v_center)
-    loss = float(np.logaddexp(0.0, -f_pos))
-    s_pos = 1.0 / (1.0 + np.exp(-f_pos))
-    grad_v = -(1.0 - s_pos) * u_context
-    grad_ctx = -(1.0 - s_pos) * v_center
-    grad_negs = np.zeros_like(u_negatives)
-    for i in range(u_negatives.shape[0]):
-        f_neg = float(u_negatives[i] @ v_center)
-        loss += float(np.logaddexp(0.0, f_neg))
-        s_neg = 1.0 / (1.0 + np.exp(-f_neg))
-        grad_v = grad_v + s_neg * u_negatives[i]
-        grad_negs[i] = s_neg * v_center
-    return loss, grad_v, grad_ctx, grad_negs
-
-
-def sgns_corpus_loss(
-    vin: np.ndarray,
-    vout: np.ndarray,
-    centers: np.ndarray,
-    contexts: np.ndarray,
-    noise_probs: np.ndarray,
-    negatives_per_positive: int,
-) -> float:
-    """Full-pair-set loss with the negative term taken in expectation.
-
-    Replacing sampled negatives by k * E_noise[log sigmoid(-u_n . v)] makes
-    the value deterministic, which the monotonicity checks need.
-    """
-    if centers.shape[0] == 0:
-        return 0.0
-    pos_scores = np.einsum("ij,ij->i", vout[contexts], vin[centers])
-    loss = float(np.logaddexp(0.0, -pos_scores).sum())
-    all_scores = vin[centers] @ vout.T  # (pairs, vocab)
-    neg_term = np.logaddexp(0.0, all_scores) @ noise_probs
-    loss += negatives_per_positive * float(neg_term.sum())
-    return loss
 
 
 def train_sgns(

@@ -94,44 +94,6 @@ def _first_order_coupling(adj: np.ndarray) -> np.ndarray:
     return np.diag(degs) - sym
 
 
-@dataclass
-class SdneLoss:
-    total: float
-    second_order: float
-    first_order: float
-    reg: float
-
-
-def _loss_terms(
-    acts: list[np.ndarray],
-    x: np.ndarray,
-    b: np.ndarray,
-    coupling: np.ndarray,
-    stack: MlpStack,
-    params: SdneParams,
-) -> SdneLoss:
-    x_hat = acts[-1]
-    y = acts[stack.bottleneck_index]
-    second = float((((x_hat - x) * b) ** 2).sum())
-    first = params.alpha * float(np.einsum("ij,ik,kj->", y, coupling, y))
-    reg = sum(params.l2_reg * float((w ** 2).sum()) + params.l1_reg * float(np.abs(w).sum())
-              for w in stack.weights)
-    return SdneLoss(total=second + first + reg, second_order=second, first_order=first, reg=float(reg))
-
-
-def sdne_loss(g: DiGraph, stack: MlpStack, params: SdneParams) -> SdneLoss:
-    """Full-graph loss decomposition: total = second_order + first_order + reg."""
-    x = g.adjacency_matrix()
-    if stack.layer_dims[0] != x.shape[1]:
-        raise ValueError(
-            f"stack input dim {stack.layer_dims[0]} != node count {x.shape[1]}"
-        )
-    acts = _forward(stack, x)
-    b = penalty_matrix(x, params.beta_penalty)
-    coupling = _first_order_coupling(x)
-    return _loss_terms(acts, x, b, coupling, stack, params)
-
-
 def _backward(
     stack: MlpStack,
     acts: list[np.ndarray],
@@ -158,51 +120,6 @@ def _backward(
                 first_grad = 2.0 * params.alpha * (coupling @ y)
                 delta = delta + first_grad * y * (1.0 - y)
     return grads_w, grads_b
-
-
-def gradient_check(stack: MlpStack, g: DiGraph, params: SdneParams, h: float = 1e-5) -> float:
-    """Max relative error between backprop and central finite differences.
-
-    The error denominator is floored at 1e-6 of the overall gradient scale:
-    central differences cannot resolve components below their own roundoff
-    (~eps * loss / h), so comparing those against per-component magnitudes
-    would only measure noise. Intended for small graphs; the difference pass
-    evaluates the loss twice per parameter.
-    """
-    if g.node_count > 16:
-        raise ValueError("gradient_check is limited to graphs with <= 16 nodes")
-    x = g.adjacency_matrix()
-    b = penalty_matrix(x, params.beta_penalty)
-    coupling = _first_order_coupling(x)
-    acts = _forward(stack, x)
-    grads_w, grads_b = _backward(stack, acts, x, b, coupling, params)
-
-    def total_loss() -> float:
-        return _loss_terms(_forward(stack, x), x, b, coupling, stack, params).total
-
-    grad_scale = 0.0
-    for grads in (grads_w, grads_b):
-        for grad in grads:
-            if grad.size:
-                grad_scale = max(grad_scale, float(np.abs(grad).max()))
-    floor = 1e-6 * (1.0 + grad_scale)
-
-    worst = 0.0
-    for arrays, grads in ((stack.weights, grads_w), (stack.biases, grads_b)):
-        for arr, grad in zip(arrays, grads):
-            flat = arr.ravel()
-            gflat = grad.ravel()
-            for i in range(flat.shape[0]):
-                orig = flat[i]
-                flat[i] = orig + h
-                up = total_loss()
-                flat[i] = orig - h
-                down = total_loss()
-                flat[i] = orig
-                fd = (up - down) / (2.0 * h)
-                denom = max(floor, abs(fd) + abs(gflat[i]))
-                worst = max(worst, abs(fd - gflat[i]) / denom)
-    return worst
 
 
 def sdne_train(g: DiGraph, d: int, params: SdneParams, seed: int) -> EmbeddingMatrix:

@@ -14,8 +14,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import DiGraph
-
 ANALOGY_MODES = ("pairwise", "offset")
 
 
@@ -39,7 +37,6 @@ class AnalogyQuad:
 
 @dataclass
 class SemanticReport:
-    dataset_name: str
     pairs_evaluated: int
     pairs_skipped: int
     mean_distance: float
@@ -118,16 +115,6 @@ def analogy_vocab(quads: Sequence[AnalogyQuad]) -> set[str]:
     return vocab
 
 
-def vocab_overlap(
-    dataset_vocab: set[str],
-    graph: DiGraph,
-    label_mapper: Callable[[str], str] = default_label_mapper,
-) -> dict[str, float]:
-    count = sum(1 for w in dataset_vocab if graph.has_label(label_mapper(w)))
-    pct = 100.0 * count / len(dataset_vocab) if dataset_vocab else 0.0
-    return {"overlap_count": count, "percentage": pct}
-
-
 def euclidean_distance(y1: np.ndarray, y2: np.ndarray) -> float:
     y1 = np.asarray(y1, dtype=np.float64)
     y2 = np.asarray(y2, dtype=np.float64)
@@ -160,7 +147,6 @@ def similarity_mean_distance(
             f"{skipped} of {len(pairs)} pairs missing from the embedding vocabulary"
         )
     return SemanticReport(
-        dataset_name=dataset_name,
         pairs_evaluated=len(distances),
         pairs_skipped=skipped,
         mean_distance=sum(distances) / len(distances),
@@ -204,7 +190,6 @@ def analogy_distance(
             f"{skipped} of {len(quads)} quads missing from the embedding vocabulary"
         )
     return SemanticReport(
-        dataset_name=dataset_name,
         pairs_evaluated=evaluated,
         pairs_skipped=skipped,
         mean_distance=sum(distances) / len(distances),

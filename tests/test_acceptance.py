@@ -20,12 +20,13 @@ from oracles import (
     oracle_mean_average_precision,
     oracle_precision_at_fractions,
 )
+from references import build_graph, gradient_check, sgns_pair_gradients
 from restore.cli import main as cli_main
 from restore.factorization import hope_embed, lap_embed, lle_embed
-from restore.graph import build_graph, gen_synthetic, khop_ego_subgraph
+from restore.graph import gen_synthetic, khop_ego_subgraph
 from restore.linalg import katz_similarity, sym_eig_smallest, truncated_svd
 from restore.pipeline import DEFAULT_SCORERS, cell_seed
-from restore.randomwalk import Node2VecConfig, node2vec_embed, sgns_pair_gradients
+from restore.randomwalk import Node2VecConfig, node2vec_embed
 from restore.reconstruct import (
     ScoreMatrix,
     mean_average_precision,
@@ -34,7 +35,7 @@ from restore.reconstruct import (
     predict_edges,
     reconstruction_report,
 )
-from restore.sdne import SdneParams, gradient_check, init_stack, sdne_train
+from restore.sdne import SdneParams, init_stack, sdne_train
 from restore.semantic import (
     analogy_vocab,
     euclidean_distance,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from references import build_graph
 from restore.factorization import clamp_dim, hope_embed, lap_embed, lle_embed
-from restore.graph import build_graph, gen_synthetic, graph_from_labeled_edges
+from restore.graph import gen_synthetic, graph_from_labeled_edges
 
 RT2 = 1.0 / np.sqrt(2.0)
 

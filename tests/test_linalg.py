@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from restore.graph import build_graph, gen_synthetic, graph_from_labeled_edges
+from references import build_graph
+from restore.graph import gen_synthetic, graph_from_labeled_edges
 from restore.linalg import katz_similarity, sym_eig_smallest, truncated_svd
 
 RT2 = 1.0 / np.sqrt(2.0)

@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from restore import pipeline
+import restore.pipeline as pipeline
+from references import build_graph
 from restore.cli import main as cli_main
 from restore.emb_io import read_embedding, write_embedding
 from restore.factorization import EmbeddingMatrix, hope_embed
-from restore.graph import build_graph
 from restore.ingest import graph_from_records, load_manifest, parse_edge_list
 from restore.pipeline import (
     PipelineConfig,
@@ -444,7 +444,7 @@ dim_schedule = 1:4,2:4,3:4
                            ("node2vec.context_size", "0"), ("node2vec.walks_per_node", "0"),
                            ("node2vec.p", "0"), ("node2vec.learning_rate", "-1"),
                            ("sdne.batch_size", "0"), ("epochs", "0"), ("hope_beta", "-1"),
-                           ("dim_schedule", "1:1")]:
+                           ("dim_schedule", "1:1"), ("threshold", "1.5"), ("threshold", "nan")]:
             manifest = write_world(tmp_path, extra=f"{key} = {value}\n")
             line = len(manifest.read_text().splitlines())
             out = tmp_path / f"out_{key}_{value}"
@@ -452,6 +452,15 @@ dim_schedule = 1:4,2:4,3:4
             err = capsys.readouterr().err
             assert err.startswith("restore: error: ") and f"run.cfg:{line}:" in err
             assert key in err and value in err
+            assert not (out / "cells.json").exists()
+        # the same for an out-of-range flag, which has no manifest line
+        manifest = write_world(tmp_path)
+        for flag, value in [("--threshold", "-0.5"), ("--workers", "0"), ("--workers", "-2")]:
+            out = tmp_path / f"out_{flag}_{value}"
+            args = ["run-all", "--config", str(manifest), "--output", str(out), flag, value]
+            assert cli_main(args) == 1, flag
+            err = capsys.readouterr().err
+            assert err.startswith("restore: error: ") and flag in err and value in err
             assert not (out / "cells.json").exists()
 
     def test_unknown_manifest_key_names_its_line(self, tmp_path, capsys):
@@ -619,9 +628,10 @@ class TestOutputFiles:
 
 
 def test_benchmark_traced_names_resolve():
-    """Every (module, attribute) the benchmark tracer patches is a callable in `restore`."""
-    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    tree = ast.parse(tracer.read_text(encoding="utf-8"))
+    """Every (module, attribute) the benchmark tracer patches is a callable in
+    `restore`, and every name a benchmark file imports from `restore` exists."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    tree = ast.parse((perfbench / "tracer.py").read_text(encoding="utf-8"))
     patches = next(
         ast.literal_eval(node.value) for node in tree.body
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PATCHES"]
@@ -630,3 +640,14 @@ def test_benchmark_traced_names_resolve():
     for module_name, attr, _ in patches:
         module = importlib.import_module(f"restore.{module_name}")
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+    imported = [
+        (source.name, node.module, alias.name)
+        for source in sorted(perfbench.glob("*.py"))
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("restore.")
+        for alias in node.names
+    ]
+    assert {source for source, _, _ in imported} >= {"run.py", "workloads.py"}
+    for source, module_name, name in imported:
+        module = importlib.import_module(module_name)
+        assert hasattr(module, name), f"{source}: from {module_name} import {name}"

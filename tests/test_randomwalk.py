@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from restore.graph import build_graph, gen_synthetic
+from references import build_graph, has_edge, sgns_corpus_loss, sgns_pair_gradients
+from restore.graph import gen_synthetic
 from restore.randomwalk import (
     Node2VecConfig,
     WalkCorpus,
     corpus_pairs,
     generate_walks,
     node2vec_embed,
-    sgns_corpus_loss,
-    sgns_pair_gradients,
     train_sgns,
     _noise_distribution,
 )
@@ -50,7 +49,7 @@ class TestWalks:
         corpus = generate_walks(g, walk_length=10, walks_per_node=3, p=0.5, q=2.0, seed=9)
         for walk in corpus.walks:
             for a, b in zip(walk[:-1], walk[1:]):
-                assert g.has_edge(int(a), int(b))
+                assert has_edge(g, int(a), int(b))
             if walk.shape[0] < corpus.walk_length:  # short only at a dead end
                 assert g.out_neighbors(int(walk[-1])).shape[0] == 0
 
@@ -90,7 +89,7 @@ class TestSgns:
         walks = [np.array([0, 1], dtype=np.int64)] * 50 + [
             np.array([2, 3], dtype=np.int64)
         ] * 50
-        corpus = WalkCorpus(walks=walks, walk_length=2, walks_per_node=25)
+        corpus = WalkCorpus(walks=walks, walk_length=2)
         params = Node2VecConfig(context_size=2, negatives_per_positive=3, epochs=30)
         emb = train_sgns(corpus, 3, params, node_count=4, seed=1)
 
@@ -101,13 +100,13 @@ class TestSgns:
         assert cosine(v[0], v[1]) > cosine(v[0], v[2])
 
     def test_single_node_corpus(self):
-        corpus = WalkCorpus(walks=[np.array([0], dtype=np.int64)], walk_length=1, walks_per_node=1)
+        corpus = WalkCorpus(walks=[np.array([0], dtype=np.int64)], walk_length=1)
         emb = train_sgns(corpus, 4, Node2VecConfig(), node_count=1, seed=0)
         assert emb.vectors.shape == (1, 1)
         assert np.isfinite(emb.vectors).all()
 
     def test_empty_corpus_errors(self):
-        corpus = WalkCorpus(walks=[], walk_length=5, walks_per_node=0)
+        corpus = WalkCorpus(walks=[], walk_length=5)
         with pytest.raises(ValueError, match="empty corpus"):
             train_sgns(corpus, 2, Node2VecConfig(), node_count=3, seed=0)
 

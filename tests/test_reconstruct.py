@@ -9,14 +9,10 @@ from oracles import (
     oracle_mean_average_precision,
     oracle_precision_at_fractions,
 )
+from references import build_graph
 from restore.dot import render_dot
 from restore.factorization import EmbeddingMatrix, hope_embed, lap_embed
-from restore.graph import (
-    build_graph,
-    gen_synthetic,
-    graph_from_labeled_edges,
-    khop_ego_subgraph,
-)
+from restore.graph import gen_synthetic, graph_from_labeled_edges, khop_ego_subgraph
 from restore.reconstruct import (
     RankedPredictions,
     ScoreMatrix,

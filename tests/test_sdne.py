@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from restore.graph import build_graph, gen_synthetic, graph_from_labeled_edges
+from references import build_graph, gradient_check, sdne_loss
+from restore.graph import gen_synthetic, graph_from_labeled_edges
 from restore.sdne import (
     MlpStack,
     SdneParams,
-    gradient_check,
     hidden_schedule,
     init_stack,
     penalty_matrix,
-    sdne_loss,
     sdne_train,
 )
 
@@ -90,7 +89,7 @@ class TestGradients:
         stack = init_stack(g.node_count, 2, seed=3)
         params = SdneParams(alpha=1e-3)
 
-        from restore import sdne as sdne_mod
+        import restore.sdne as sdne_mod
 
         orig_backward = sdne_mod._backward
 

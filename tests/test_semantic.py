@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from restore.graph import build_graph
+from references import build_graph, vocab_overlap
 from restore.semantic import (
     AnalogyQuad,
     SimilarityPair,
@@ -13,7 +13,6 @@ from restore.semantic import (
     load_similarity_dataset,
     similarity_mean_distance,
     similarity_vocab,
-    vocab_overlap,
 )
 
 
