@@ -82,8 +82,8 @@ def _spectral_embed(g: DiGraph, d: int, tag: str, use_normalized_laplacian: bool
             iw = np.eye(m) - wn
             system = iw.T @ iw
         take = min(d_eff, m - 1)
-        res = sym_eig_smallest(system, take + 1)
-        sub = res.vectors[:, 1:take + 1]
+        _, vectors = sym_eig_smallest(system, take + 1)
+        sub = vectors[:, 1:take + 1]
         if use_normalized_laplacian:
             sub = sub * (1.0 / np.sqrt(deg))[:, None]
         out[active, :take] = sub
@@ -115,8 +115,6 @@ def hope_embed(g: DiGraph, d: int, beta: float = 0.01) -> EmbeddingMatrix:
     target matrices are U sqrt(Sigma) and V sqrt(Sigma), so Y_s @ Y_t.T is the
     best rank-d approximation of S.
     """
-    res = truncated_svd(katz_similarity(g, beta), clamp_dim(d, g.node_count))
-    half = np.sqrt(res.sigma)
-    ys = res.u * half[None, :]
-    yt = res.v * half[None, :]
-    return EmbeddingMatrix(labels=g.labels, vectors=ys, algorithm_tag="hope", target=yt)
+    u, sigma, v = truncated_svd(katz_similarity(g, beta), clamp_dim(d, g.node_count))
+    half = np.sqrt(sigma)
+    return EmbeddingMatrix(labels=g.labels, vectors=u * half, algorithm_tag="hope", target=v * half)

@@ -1,14 +1,15 @@
 """Dense numerical kernels: symmetric eigensolver, truncated SVD, Katz similarity.
 
-The eigensolver is a cyclic Jacobi iteration, chosen for unconditional
-convergence and easy residual testing; each rotation updates whole rows and
-columns with numpy. Matrices larger than JACOBI_MAX_N are delegated to
-LAPACK, which the desk scale of the ego-graph pipeline occasionally exceeds.
+The truncated SVD is LAPACK's at every size. The symmetric eigensolver is
+LAPACK's (`eigh`) above JACOBI_MAX_N and a cyclic Jacobi iteration below it.
+Jacobi stays there because it decides which basis a repeated eigenvalue
+gets, and the small ego graphs that LAP and LLE solve have many: `eigh`
+picks another basis and lowers their reconstruction scores. Each rotation
+updates whole rows and columns with numpy.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,19 +21,6 @@ JACOBI_MAX_N = 128
 _SWEEP_LIMIT = 64
 
 
-@dataclass
-class EigenResult:
-    values: np.ndarray   # ascending, shape (k,)
-    vectors: np.ndarray  # column-orthonormal, shape (n, k)
-
-
-@dataclass
-class SvdResult:
-    u: np.ndarray        # (m, k)
-    sigma: np.ndarray    # non-negative, descending, (k,)
-    v: np.ndarray        # (n, k)
-
-
 def _jacobi_sweeps(a, v, tol, max_sweeps):
     """Cyclic Jacobi on symmetric `a` (in place), accumulating rotations in `v`.
 
@@ -41,11 +29,7 @@ def _jacobi_sweeps(a, v, tol, max_sweeps):
     """
     n = a.shape[0]
     for sweep in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += a[p, q] * a[p, q]
-        if math.sqrt(2.0 * off) <= tol:
+        if math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2))) <= tol:
             return sweep
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -82,27 +66,6 @@ def _column_signs(vectors: np.ndarray) -> np.ndarray:
     return np.where(lead < 0.0, -1.0, 1.0)
 
 
-def _sym_eig_full(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenpairs, ascending, deterministic signs."""
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    if n > JACOBI_MAX_N:
-        vals, vecs = np.linalg.eigh(a)
-    else:
-        work = np.array(a, dtype=np.float64, copy=True)
-        vecs = np.eye(n, dtype=np.float64)
-        tol = 1e-14 * max(1.0, float(np.linalg.norm(work)))
-        sweeps = _jacobi_sweeps(work, vecs, tol, _SWEEP_LIMIT)
-        if sweeps >= _SWEEP_LIMIT:
-            raise RuntimeError("jacobi eigensolver failed to converge")
-        vals = np.diag(work).copy()
-        order = np.argsort(vals, kind="stable")
-        vals = vals[order]
-        vecs = vecs[:, order]
-    return vals, vecs * _column_signs(vecs)
-
-
 def _check_symmetric(a: np.ndarray) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -111,9 +74,10 @@ def _check_symmetric(a: np.ndarray) -> None:
         raise ValueError("matrix is not symmetric within 1e-10")
 
 
-def sym_eig_smallest(a: np.ndarray, k: int) -> EigenResult:
-    """The k smallest eigenpairs of a symmetric matrix, ascending.
+def sym_eig_smallest(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k smallest eigenpairs of a symmetric matrix: (values, vectors).
 
+    Values ascend, shape (k,); vectors are column-orthonormal, shape (n, k).
     Signs follow the convention that the first significant component of each
     eigenvector is positive, so repeated runs agree exactly.
     """
@@ -122,16 +86,27 @@ def sym_eig_smallest(a: np.ndarray, k: int) -> EigenResult:
     n = a.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for a {n}x{n} matrix")
-    vals, vecs = _sym_eig_full(a)
-    return EigenResult(values=vals[:k].copy(), vectors=vecs[:, :k].copy())
+    if n > JACOBI_MAX_N:
+        vals, vecs = np.linalg.eigh(a)
+    else:
+        work = a.copy()
+        vecs = np.eye(n, dtype=np.float64)
+        tol = 1e-14 * max(1.0, float(np.linalg.norm(work)))
+        if _jacobi_sweeps(work, vecs, tol, _SWEEP_LIMIT) >= _SWEEP_LIMIT:
+            raise RuntimeError("jacobi eigensolver failed to converge")
+        vals = np.diag(work)
+        order = np.argsort(vals, kind="stable")
+        vals, vecs = vals[order], vecs[:, order]
+    vecs = vecs[:, :k]
+    return vals[:k], vecs * _column_signs(vecs)
 
 
-def truncated_svd(a: np.ndarray, k: int) -> SvdResult:
-    """Top-k singular triplets via the eigendecomposition of AᵀA.
+def truncated_svd(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The top-k singular triplets of `a` by LAPACK's SVD: (u, sigma, v).
 
-    Reuses the Jacobi kernel on the Gram matrix of the thinner side; columns
-    whose singular value is numerically zero get deterministic orthonormal
-    fill-ins so U stays a basis.
+    u is (m, k) and v is (n, k), both column-orthonormal; sigma is
+    non-negative and descending. V's signs follow the eigenvector convention
+    and U takes the same signs, so u @ diag(sigma) @ v.T is unchanged.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -139,42 +114,10 @@ def truncated_svd(a: np.ndarray, k: int) -> SvdResult:
     m, n = a.shape
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k={k} out of range for a {m}x{n} matrix")
-
-    if m < n:
-        flipped = truncated_svd(a.T, k)
-        u, sigma, v = flipped.v, flipped.sigma, flipped.u
-    else:
-        gram = a.T @ a
-        vals, vecs = _sym_eig_full(gram)
-        order = np.argsort(-vals, kind="stable")[:k]
-        lam = np.maximum(vals[order], 0.0)
-        sigma = np.sqrt(lam)
-        v = vecs[:, order]
-        u = np.zeros((m, k), dtype=np.float64)
-        smax = sigma[0] if k else 0.0
-        cutoff = max(m, n) * np.finfo(np.float64).eps * smax
-        for i in range(k):
-            if sigma[i] > cutoff and sigma[i] > 0.0:
-                u[:, i] = (a @ v[:, i]) / sigma[i]
-            else:
-                u[:, i] = _orthonormal_fill(u[:, :i], m)
-
-    # Deterministic signs on V, mirrored into U so the product is unchanged.
+    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    v = vt[:k].T
     signs = _column_signs(v)
-    return SvdResult(u=u * signs, sigma=sigma, v=v * signs)
-
-
-def _orthonormal_fill(existing: np.ndarray, m: int) -> np.ndarray:
-    """First canonical basis vector orthogonalized against `existing` columns."""
-    for idx in range(m):
-        cand = np.zeros(m)
-        cand[idx] = 1.0
-        if existing.shape[1]:
-            cand -= existing @ (existing.T @ cand)
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-8:
-            return cand / nrm
-    raise RuntimeError("failed to complete orthonormal basis")
+    return u[:, :k] * signs, sigma[:k], v * signs
 
 
 def spectral_radius_estimate(a: np.ndarray, iters: int = 100) -> float:

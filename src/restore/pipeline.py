@@ -1,13 +1,13 @@
 """Pipeline stages: extract -> embed -> reconstruct -> semantic -> report.
 
 Every stage reads files written by the previous one and writes files of its
-own, so a 5000-center batch can resume or re-run any stage; only embed keeps
-an output file (an existing `.emb`) instead of writing it again. Cells are
-(center, hop, algorithm) units; each gets a seed derived by stable hash of
-(run seed, center, hop, algorithm), so results do not depend on worker
-scheduling. A failing cell is recorded in the stage's error ledger, never
-aborts its siblings, and is left out of report.json. Each per-cell stage
-merges its wall times into timings.json.
+own, so a 5000-center batch can resume or re-run any stage. A re-run stage
+computes and writes all of its files again, so no output built under other
+settings survives it. Cells are (center, hop, algorithm) units; each gets a
+seed derived by stable hash of (run seed, center, hop, algorithm), so results
+do not depend on worker scheduling. A failing cell is recorded in the stage's
+error ledger, never aborts its siblings, and is left out of report.json. Each
+per-cell stage merges its wall times into timings.json.
 """
 from __future__ import annotations
 
@@ -339,12 +339,6 @@ def _load_subgraph(out: Layout, cell: Cell) -> DiGraph:
     return graph_from_records(parse_edge_list(out.subgraph(cell), "tsv3"))
 
 
-def _reusable(path: Path) -> bool:
-    """Whether a re-run embed stage keeps this file instead of writing it
-    again: the one reuse rule."""
-    return path.exists()
-
-
 def run_stage(cfg: PipelineConfig, stage: str, cells: list[Cell], worker) -> tuple[dict, list[dict]]:
     """Run `worker` over cells on a bounded thread pool; return results by cell key, and errors.
 
@@ -464,9 +458,8 @@ def run_embed(cfg: PipelineConfig) -> list[dict]:
         effective = clamp_dim(requested, sub.node_count)
         if effective != requested:
             log.info("cell %s: requested %d, effective %d", cell.key, requested, effective)
-        if not _reusable(out.embedding(cell)):
-            emb = _embed_one(cfg, sub, cell.algorithm, requested, cell.seed)
-            write_embedding(emb, out.embedding(cell), cfg.emb_format)
+        emb = _embed_one(cfg, sub, cell.algorithm, requested, cell.seed)
+        write_embedding(emb, out.embedding(cell), cfg.emb_format)
         return {
             "requested_dim": requested,
             "effective_dim": effective,

@@ -54,15 +54,3 @@ def oracle_graph_diff(orig_nodes, orig_edges, recon_nodes, recon_edges):
         sorted(orig_edges - recon_edges),
     )
 
-
-def oracle_katz_series(a, beta, cutoff=1e-13, max_terms=10_000):
-    import numpy as np
-
-    s = np.zeros_like(a, dtype=float)
-    term = beta * a
-    for _ in range(max_terms):
-        s += term
-        if np.abs(term).max() < cutoff:
-            break
-        term = beta * (term @ a)
-    return s

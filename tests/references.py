@@ -1,10 +1,10 @@
 """Reference implementations that the tests check the program against.
 
 None of this runs in the pipeline. Each piece is an independent way to state
-a quantity the program computes or relies on: the SGNS and SDNE losses and
-their finite-difference gradient checks, a label-checked graph builder, degree
-statistics, edge membership, and how much of a dataset's vocabulary a graph
-holds. Unlike `oracles.py`, these use numpy.
+a quantity the program computes or relies on: the Katz power series, the SGNS
+and SDNE losses and their finite-difference gradient checks, a label-checked
+graph builder, degree statistics, edge membership, and how much of a dataset's
+vocabulary a graph holds. Unlike `oracles.py`, these use numpy.
 """
 from dataclasses import dataclass
 
@@ -74,6 +74,21 @@ def vocab_overlap(dataset_vocab, graph: DiGraph, label_mapper=default_label_mapp
     count = sum(1 for w in dataset_vocab if graph.has_label(label_mapper(w)))
     pct = 100.0 * count / len(dataset_vocab) if dataset_vocab else 0.0
     return {"overlap_count": count, "percentage": pct}
+
+
+# -- Katz -----------------------------------------------------------------
+
+
+def katz_series(a, beta, cutoff=1e-13, max_terms=10_000):
+    """Brute-force partial sum of beta^t * A^t, independent of the solve path."""
+    s = np.zeros_like(a, dtype=np.float64)
+    term = beta * a
+    for _ in range(max_terms):
+        s += term
+        if np.abs(term).max() < cutoff:
+            break
+        term = beta * (term @ a)
+    return s
 
 
 # -- SGNS -----------------------------------------------------------------

@@ -184,6 +184,8 @@ class TestDefaults:
         assert a == b
         assert a != c
         assert a >= 0
+        by_algorithm = {cell_seed(5, "/c/en/cat", 1, algo) for algo in pipeline.ALGORITHMS}
+        assert len(by_algorithm) == len(pipeline.ALGORITHMS) == 5
 
 
 class TestCliRuns:
@@ -334,6 +336,14 @@ class TestCliRuns:
         clamped = [v for v in log.values() if v["effective_dim"] < v["requested_dim"]]
         assert clamped
         assert all(v["requested_dim"] == 64 for v in log.values())
+
+    def test_rerun_rewrites_embeddings_built_under_other_settings(self, tmp_path):
+        out = tmp_path / "out"
+        emb = out / "embeddings" / f"{center_slug('/c/en/cat')}_h2_lap.emb"
+        for dim in (2, 4):
+            manifest = write_world(tmp_path, algorithms=("lap",), extra=f"dim_schedule = 1:1,2:{dim}\n")
+            assert cli_main(["run-all", "--config", str(manifest), "--output", str(out)]) == 0
+            assert read_embedding(emb).dim == dim
 
     def test_kgtk_graph_accepted(self, tmp_path):
         kgtk = "id\tnode1\trelation\tnode2\n"
