@@ -29,9 +29,9 @@ class DiGraph:
 
     The constructor is the one place where edges are normalised: it takes
     (src, dst) index pairs in any order, drops self-loops (reconstruction
-    never scores the diagonal) and collapses repeated pairs. It admits empty
-    graphs, which the reconstruction diff needs; :func:`graph_from_labeled_edges`
-    builds one from label pairs.
+    never scores the diagonal) and collapses repeated pairs. It admits graphs
+    without edges, such as a reconstruction that predicts no pair;
+    :func:`graph_from_labeled_edges` builds one from label pairs.
     """
 
     __slots__ = ("_labels", "_index", "out_indptr", "out_indices", "in_indptr", "in_indices")
@@ -160,46 +160,40 @@ def khop_ego_subgraph(g: DiGraph, center: str, hops: int) -> DiGraph:
 
 
 def graph_diff(original: DiGraph, reconstructed: DiGraph) -> GraphDiff:
-    """Added = present only in reconstructed; missing = present only in original.
+    """Added = edges only in reconstructed; missing = edges only in original.
 
-    A node counts as missing when the reconstruction emits no edge touching it
-    (it is absent from the reconstructed node set). Edges are matched by
-    label; both edge lists come out sorted by (source label, target label).
+    Both graphs are over the same nodes, in the same order (ValueError
+    otherwise), so no node is ever added. A node counts as missing when no
+    reconstructed edge touches it. Both edge lists come out sorted by
+    (source label, target label).
     """
-    # One index space over both label sets, numbered in label order, so that
-    # src * m + dst sorts edges by their labels.
-    labels = list(original.labels)
-    to_union = np.empty(reconstructed.node_count, dtype=np.int64)
-    for i, label in enumerate(reconstructed.labels):
-        j = original._index.get(label)
-        if j is None:
-            j = len(labels)
-            labels.append(label)
-        to_union[i] = j
-    m = len(labels)
-    by_label = sorted(range(m), key=labels.__getitem__)
-    rank = np.empty(m, dtype=np.int64)
-    rank[by_label] = np.arange(m)
-    sorted_labels = np.array([labels[i] for i in by_label], dtype=object)
+    if reconstructed.labels != original.labels:
+        raise ValueError("graph_diff needs two graphs over the same node labels")
+    n = original.node_count
+    # numbered in label order, src * n + dst sorts edges by their labels
+    labels = np.array(original.labels, dtype=object)
+    by_label = np.argsort(labels)
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_label] = np.arange(n)
+    sorted_labels = labels[by_label]
 
-    def edge_keys(g: DiGraph, to_rank: np.ndarray) -> np.ndarray:
+    def edge_keys(g: DiGraph) -> np.ndarray:
         # sorted and, since a DiGraph holds each edge once, unique
         src, dst = g.edge_array()
-        return np.sort(to_rank[src] * m + to_rank[dst])
-
-    orig_keys = edge_keys(original, rank[: original.node_count])
-    recon_keys = edge_keys(reconstructed, rank[to_union])
+        return np.sort(rank[src] * n + rank[dst])
 
     def edge_list(keys: np.ndarray, drop: np.ndarray) -> list[tuple[str, str]]:
-        keys = np.setdiff1d(keys, drop, assume_unique=True)  # keeps the sorted order
-        return list(zip(sorted_labels[keys // m].tolist(), sorted_labels[keys % m].tolist()))
+        # with assume_unique, setdiff1d keeps the sorted order of `keys`
+        src, dst = np.divmod(np.setdiff1d(keys, drop, assume_unique=True), n)
+        return list(zip(sorted_labels[src].tolist(), sorted_labels[dst].tolist()))
 
+    orig_keys, recon_keys = edge_keys(original), edge_keys(reconstructed)
     added_edges = edge_list(recon_keys, orig_keys)
     missing_edges = edge_list(orig_keys, recon_keys)
-    added_nodes = m - original.node_count
+    touched = np.diff(reconstructed.out_indptr) + np.diff(reconstructed.in_indptr) > 0
     return GraphDiff(
-        added_nodes=added_nodes,
-        missing_nodes=original.node_count - (reconstructed.node_count - added_nodes),
+        added_nodes=0,
+        missing_nodes=n - int(np.count_nonzero(touched)),
         added_edges=len(added_edges),
         missing_edges=len(missing_edges),
         added_edge_list=added_edges,

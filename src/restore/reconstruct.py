@@ -175,21 +175,9 @@ def mean_average_precision(preds: RankedPredictions, observed: DiGraph) -> float
 
 
 def predictions_to_graph(preds: RankedPredictions, labels: tuple[str, ...]) -> DiGraph:
-    """Graph over the predicted edges; nodes without any incident prediction
-    are simply not emitted.
-
-    Nodes are numbered in order of first appearance, source before target,
-    as graph_from_labeled_edges numbers them; self-pairs add the node only.
-    """
-    # np.unique is avoided: its hash path is slow on millions of node ids
-    seen = np.column_stack((preds.src, preds.dst)).ravel()
-    first = np.full(len(labels), seen.shape[0])
-    np.minimum.at(first, seen, np.arange(seen.shape[0]))
-    nodes = np.flatnonzero(first < seen.shape[0])
-    nodes = nodes[np.argsort(first[nodes])]
-    renumber = np.zeros(len(labels), dtype=np.int64)
-    renumber[nodes] = np.arange(nodes.shape[0])
-    return DiGraph([labels[i] for i in nodes.tolist()], renumber[seen].reshape(-1, 2))
+    """Graph over the scored subgraph's nodes `labels` with the predicted
+    pairs as its edges; a node no prediction touches stays, isolated."""
+    return DiGraph(labels, np.column_stack((preds.src, preds.dst)))
 
 
 def reconstruction_report(
@@ -200,8 +188,8 @@ def reconstruction_report(
     fractions: tuple[float, ...] = DEFAULT_FRACTIONS,
 ) -> ReconReport:
     """Score -> normalize -> threshold -> rank -> Prec@k + mAP + diff."""
-    if emb.node_count != g.node_count:
-        raise ValueError("embedding and graph node counts differ")
+    if emb.labels != g.labels:
+        raise ValueError("embedding and graph differ in their node labels or their order")
     if g.node_count < 2:
         preds = RankedPredictions(
             src=np.zeros(0, dtype=np.int64),

@@ -8,6 +8,7 @@ numpy; the cost is matmul-dominated so no loop kernel is needed here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -122,9 +123,18 @@ def _backward(
     return grads_w, grads_b
 
 
-def sdne_train(g: DiGraph, d: int, params: SdneParams, seed: int) -> EmbeddingMatrix:
+def sdne_train(
+    g: DiGraph,
+    d: int,
+    params: SdneParams,
+    seed: int,
+    on_epoch: Callable[[int, MlpStack], None] | None = None,
+) -> EmbeddingMatrix:
     """Mini-batch gradient descent with momentum; rows of the adjacency are the
-    batch unit and the embedding is the bottleneck activation of each row."""
+    batch unit and the embedding is the bottleneck activation of each row.
+
+    `on_epoch(epoch, stack)` sees the stack before training (epoch 0) and
+    after each epoch."""
     n = g.node_count
     d_eff = clamp_dim(d, n)
     stack = init_stack(n, d_eff, seed)
@@ -135,7 +145,9 @@ def sdne_train(g: DiGraph, d: int, params: SdneParams, seed: int) -> EmbeddingMa
     vel_w = [np.zeros_like(w) for w in stack.weights]
     vel_b = [np.zeros_like(bb) for bb in stack.biases]
     rng = np.random.default_rng(seed)
-    for _ in range(params.epochs):
+    if on_epoch is not None:
+        on_epoch(0, stack)
+    for epoch in range(params.epochs):
         order = rng.permutation(n)
         for start in range(0, n, params.batch_size):
             rows = order[start:start + params.batch_size]
@@ -149,6 +161,8 @@ def sdne_train(g: DiGraph, d: int, params: SdneParams, seed: int) -> EmbeddingMa
                 stack.weights[i] = stack.weights[i] + vel_w[i]
                 vel_b[i] = params.rho * vel_b[i] - params.xeta * grads_b[i]
                 stack.biases[i] = stack.biases[i] + vel_b[i]
+        if on_epoch is not None:
+            on_epoch(epoch + 1, stack)
 
     codes = _forward(stack, x_full)[stack.bottleneck_index]
     return EmbeddingMatrix(labels=g.labels, vectors=codes, algorithm_tag="sdne")

@@ -157,10 +157,18 @@ def test_diff_identity_all_zero():
 
 def test_diff_empty_reconstruction():
     orig = build_graph([("a", "b")])
-    recon = graph_from_labeled_edges([])
-    d = graph_diff(orig, recon)
-    assert d.missing_edges == 1
-    assert d.missing_nodes == 2
+    d = graph_diff(orig, DiGraph(orig.labels, []))
+    assert (d.added_nodes, d.missing_nodes) == (0, 2)
+    assert (d.added_edges, d.missing_edges) == (0, 1)
+    assert d.missing_edge_list == [("a", "b")]
+
+
+@pytest.mark.parametrize("labels", [("a", "b"), ("a", "b", "d"), ("b", "a", "c")],
+                         ids=["fewer", "other", "reordered"])
+def test_diff_rejects_graphs_over_other_nodes(labels):
+    orig = DiGraph(("a", "b", "c"), [(0, 1)])
+    with pytest.raises(ValueError, match="same node labels"):
+        graph_diff(orig, DiGraph(labels, [(0, 1)]))
 
 
 def test_diff_antisymmetric():
@@ -174,25 +182,31 @@ def test_diff_antisymmetric():
 
 
 def test_diff_matches_oracle_on_random_graphs():
-    # overlapping label sets, nodes on one side only, isolated nodes, and
-    # labels whose sorted order differs from their index order
+    # isolated nodes on either side, and labels whose sorted order differs
+    # from their index order ("v12" < "v3", drawn in random order)
     rng = np.random.default_rng(12)
+    isolated = 0
     for _ in range(30):
+        k = int(rng.integers(0, 20))
+        names = [f"v{int(i)}" for i in rng.choice(30, size=k, replace=False)]
         graphs = []
         for _side in range(2):
-            picked = rng.choice(30, size=int(rng.integers(0, 20)), replace=False)
-            names = [f"v{int(i)}" for i in picked]
-            edges = [(a, b) for a in names for b in names if a != b and rng.random() < 0.2]
-            graphs.append(graph_from_labeled_edges(edges, extra_nodes=names[::3]))
+            adj = rng.random((k, k)) < 0.2
+            cut = rng.random(k) < 0.3
+            adj[cut, :] = adj[:, cut] = False
+            graphs.append(DiGraph(names, np.argwhere(adj)))
         orig, recon = graphs
         d = graph_diff(orig, recon)
+        touched = [lab for pair in recon.edge_label_pairs() for lab in pair]
         added_nodes, missing_nodes, added, missing = oracle_graph_diff(
-            orig.labels, orig.edge_label_pairs(), recon.labels, recon.edge_label_pairs()
+            orig.labels, orig.edge_label_pairs(), touched, recon.edge_label_pairs()
         )
+        isolated += missing_nodes
         assert (d.added_nodes, d.missing_nodes) == (added_nodes, missing_nodes)
         assert (d.added_edges, d.missing_edges) == (len(added), len(missing))
         assert d.added_edge_list == added
         assert d.missing_edge_list == missing
+    assert isolated
 
 
 @pytest.mark.parametrize("kind,n,edges", [("cycle", 5, 5), ("star", 6, 5), ("path", 4, 3)])

@@ -13,6 +13,14 @@ def random_symmetric(rng, n):
     return (m + m.T) / 2.0
 
 
+def first_significant_positive(vectors):
+    """The sign convention: each column's first entry above 1e-12 of the
+    column's largest magnitude is positive."""
+    for col in vectors.T:
+        lead = col[np.abs(col) > 1e-12 * np.abs(col).max()][0]
+        assert lead > 0.0
+
+
 class TestSymEig:
     def test_identity(self):
         values, _ = sym_eig_smallest(np.eye(3), 2)
@@ -54,6 +62,7 @@ class TestSymEig:
                 assert resid <= 1e-8 * max(1.0, abs(lam))
             gram = vectors.T @ vectors
             assert np.abs(gram - np.eye(k)).max() <= 1e-8
+            first_significant_positive(vectors)
 
     def test_matches_lapack_oracle(self):
         rng = np.random.default_rng(7)
@@ -105,6 +114,7 @@ class TestTruncatedSvd:
             u, sigma, v = truncated_svd(a, k)
             err = np.linalg.norm(a - u @ np.diag(sigma) @ v.T)
             assert err <= 1e-8 * np.linalg.norm(a)
+            first_significant_positive(v)
 
     def test_eckart_young_against_lapack(self):
         rng = np.random.default_rng(13)

@@ -212,6 +212,24 @@ class TestCliRuns:
         for stage in ("extract", "embed", "reconstruct", "semantic"):
             assert "_stage_total" in timings[stage]
             assert any(key.count("|h") == 1 for key in timings[stage]), stage
+        # every aggregate and diff row is the mean over its (algorithm, hop)'s cells
+        recon = report["reconstruction"]
+
+        def mean(values):
+            return pytest.approx(sum(values) / len(values), rel=1e-12)
+
+        for agg, diff in zip(recon["aggregate"], recon["diff"], strict=True):
+            group = (agg["algorithm"], agg["hop"])
+            assert (diff["algorithm"], diff["hop"]) == group
+            cells = [c for c in recon["cells"].values() if (c["algorithm"], c["hop"]) == group]
+            assert agg["cells"] == len(cells) >= 2
+            assert agg["map"] == mean([c["map"] for c in cells])
+            for f, v in agg["prec_at"].items():
+                assert v == mean([c["prec_at"][f] for c in cells])
+            assert diff["avg_nodes"] == mean([c["nodes"] for c in cells])
+            assert diff["avg_edges"] == mean([c["edges"] for c in cells])
+            for name in ("added_nodes", "missing_nodes", "added_edges", "missing_edges"):
+                assert diff[f"avg_{name}"] == mean([c["diff"][name] for c in cells])
 
     def test_recon_csv_table_shape(self, tmp_path):
         manifest = write_world(tmp_path, algorithms=("hope",))
@@ -427,6 +445,23 @@ dim_schedule = 1:4,2:4,3:4
         dots = list((out / "dot").glob("*.dot"))
         assert len(dots) == 1
         assert "red" not in dots[0].read_text()
+
+    def test_edge_lists_capped_at_200(self, tmp_path):
+        # threshold 0 predicts all 31 * 30 pairs of a 30-leaf star: 900 added edges
+        (tmp_path / "graph.tsv").write_text("".join(f"hub\tr\tleaf{i}\n" for i in range(30)))
+        manifest = tmp_path / "run.cfg"
+        manifest.write_text(f"graph_path = {tmp_path / 'graph.tsv'}\ncenters = explicit\n"
+                            "center = hub\nhop = 1\nalgorithm = lap\n")
+        out = tmp_path / "out"
+        for stage in ("extract", "embed", "reconstruct"):
+            assert cli_main([stage, "--config", str(manifest), "--output", str(out),
+                             "--threshold", "0"]) == 0
+        (recon_file,) = (out / "recon").glob("*.json")
+        diff = json.loads(recon_file.read_text())["diff"]
+        assert (diff["added_edges"], diff["missing_edges"]) == (900, 0)
+        assert len(diff["added_edge_list"]) == 200
+        assert diff["missing_edge_list"] == []
+        assert diff["edge_lists_truncated"] is True
 
     def test_partial_failure_exit_code(self, tmp_path):
         manifest = write_world(tmp_path, algorithms=("hope",),

@@ -110,6 +110,13 @@ class TestSgns:
         with pytest.raises(ValueError, match="empty corpus"):
             train_sgns(corpus, 2, Node2VecConfig(), node_count=3, seed=0)
 
+    def test_noise_is_unigram_to_three_quarters(self):
+        # node 1 appears 4 times, node 0 twice, node 3 once, node 2 never
+        corpus = WalkCorpus(walks=[np.array([1, 0, 1]), np.array([1, 1, 0, 3])], walk_length=4)
+        powered = np.array([2.0, 4.0, 0.0, 1.0]) ** 0.75
+        noise = _noise_distribution(corpus, 4)
+        assert np.allclose(noise, powered / powered.sum(), rtol=0, atol=1e-15)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         h = 1e-5
