@@ -44,12 +44,11 @@ from .sdne import SdneParams, sdne_train
 from .semantic import (
     ANALOGY_MODES,
     analogy_distance,
-    analogy_vocab,
+    dataset_vocab,
     default_label_mapper,
     load_analogy_dataset,
     load_similarity_dataset,
     similarity_mean_distance,
-    similarity_vocab,
 )
 
 log = logging.getLogger(__name__)
@@ -320,12 +319,10 @@ def load_datasets(cfg: PipelineConfig) -> dict[str, dict]:
         if kind == "similarity":
             fmt = "csv" if path.endswith(".csv") else "tsv"
             records, diags = load_similarity_dataset(path, fmt)
-            vocab = similarity_vocab(records)
         else:
             records, diags = load_analogy_dataset(path)
-            vocab = analogy_vocab(records)
         _warn_skipped(path, diags)
-        out[name] = {"kind": kind, "records": records, "vocab": vocab}
+        out[name] = {"kind": kind, "records": records, "vocab": dataset_vocab(records)}
     return out
 
 

@@ -84,7 +84,7 @@ def pairwise_scores(emb: EmbeddingMatrix, scorer: str) -> ScoreMatrix:
         raw = -np.sqrt(d2)
     else:
         raise ValueError(f"unknown scorer {scorer!r}; expected one of {SCORERS}")
-    raw = np.asarray(raw, dtype=np.float64).copy()
+    raw = np.asarray(raw, dtype=np.float64)
     np.fill_diagonal(raw, np.nan)
     return ScoreMatrix(values=raw, normalized=False)
 
@@ -94,7 +94,7 @@ def normalize_scores(raw: ScoreMatrix) -> ScoreMatrix:
     surface maps to 0.5 uniformly."""
     if raw.pair_count() == 0:
         raise ValueError("no scored pairs to normalize")
-    vals = raw.values.copy()
+    vals = raw.values
     lo = float(np.nanmin(vals))
     hi = float(np.nanmax(vals))
     if hi > lo:
@@ -114,7 +114,7 @@ def predict_edges(scores: ScoreMatrix, threshold: float = 0.5) -> RankedPredicti
     np.fill_diagonal(mask, False)
     src, dst = np.nonzero(mask)
     picked = vals[src, dst]
-    order = np.lexsort((dst, src, -picked))
+    order = np.argsort(-picked, kind="stable")  # nonzero yields (src, dst) order
     return RankedPredictions(src=src[order], dst=dst[order], score=picked[order])
 
 
@@ -147,28 +147,19 @@ def mean_average_precision(preds: RankedPredictions, observed: DiGraph) -> float
     predictions; nodes with no observed out-edges are excluded, and observed
     edges missing from the predictions contribute zero precision.
 
-    Each node's hit precisions found/rank are summed in rank order with
-    Python's sum, so the value equals that of a per-node loop over the ranked
-    predictions exactly, not just to rounding.
+    A node's average precision sums found/rank over the hits of its own ranked
+    row, in rank order, and divides by its observed out-degree.
     """
     n = observed.node_count
     order = np.argsort(preds.src, kind="stable")  # group by node, keep rank order
-    src = preds.src[order]
     hit = _hits(preds, observed)[order]
-    group_start = np.searchsorted(src, np.arange(n))
-    found = np.cumsum(hit)
-    found_before = np.concatenate(([0], found))[group_start]
-    at = np.flatnonzero(hit)
-    hit_src = src[at]
-    # found and rank both count from the start of the hit's node group
-    precs = ((found[at] - found_before[hit_src]) / (at - group_start[hit_src] + 1)).tolist()
-    bounds = np.searchsorted(hit_src, np.arange(n + 1)).tolist()
+    bounds = np.searchsorted(preds.src[order], np.arange(n + 1)).tolist()
     out_deg = np.diff(observed.out_indptr).tolist()
-    ap_values = [
-        sum(precs[bounds[node]:bounds[node + 1]]) / out_deg[node]
-        for node in range(n)
-        if out_deg[node]
-    ]
+    ap_values = []
+    for node in np.flatnonzero(out_deg).tolist():
+        ranks = (np.flatnonzero(hit[bounds[node]:bounds[node + 1]]) + 1).tolist()
+        found_over_rank = (found / rank for found, rank in enumerate(ranks, start=1))
+        ap_values.append(sum(found_over_rank) / out_deg[node])
     if not ap_values:
         return 0.0
     return sum(ap_values) / len(ap_values)

@@ -2,7 +2,8 @@
 
 Datasets are delimiter-separated text files; words map into the graph's label
 space through a configurable mapper (default: the ConceptNet-style
-"/c/en/<word>" scheme). Pairs whose words do not resolve to embedded nodes are
+"/c/en/<word>" scheme). Both dataset kinds run through one loop: a pair or
+quad whose words do not all resolve to embedded vectors of one dimension is
 skipped and counted, never imputed.
 """
 from __future__ import annotations
@@ -14,14 +15,15 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-ANALOGY_MODES = ("pairwise", "offset")
-
 
 @dataclass
 class SimilarityPair:
     word_a: str
     word_b: str
     human_score: float
+
+    def words(self) -> tuple[str, str]:
+        return (self.word_a, self.word_b)
 
 
 @dataclass
@@ -100,19 +102,9 @@ def load_analogy_dataset(path: str | Path) -> tuple[list[AnalogyQuad], list[str]
     return records, diagnostics
 
 
-def similarity_vocab(pairs: Sequence[SimilarityPair]) -> set[str]:
-    vocab = set()
-    for p in pairs:
-        vocab.add(p.word_a.lower())
-        vocab.add(p.word_b.lower())
-    return vocab
-
-
-def analogy_vocab(quads: Sequence[AnalogyQuad]) -> set[str]:
-    vocab = set()
-    for q in quads:
-        vocab.update(w.lower() for w in q.words())
-    return vocab
+def dataset_vocab(records: Sequence[SimilarityPair | AnalogyQuad]) -> set[str]:
+    """The lowercased words of a dataset's records."""
+    return {w.lower() for record in records for w in record.words()}
 
 
 def euclidean_distance(y1: np.ndarray, y2: np.ndarray) -> float:
@@ -124,32 +116,54 @@ def euclidean_distance(y1: np.ndarray, y2: np.ndarray) -> float:
     return math.sqrt(float(diff @ diff))
 
 
+# Analogy mode -> the distances one resolved quad (y_a, y_b, y_c, y_d) adds.
+ANALOGY_MEASURES: dict[str, Callable[..., list[float]]] = {
+    "pairwise": lambda ya, yb, yc, yd: [euclidean_distance(ya, yb), euclidean_distance(yc, yd)],
+    "offset": lambda ya, yb, yc, yd: [euclidean_distance(yb - ya + yc, yd)],
+}
+ANALOGY_MODES = tuple(ANALOGY_MEASURES)
+
+
+def _mean_distance(
+    records: Sequence[SimilarityPair | AnalogyQuad],
+    vectors: Mapping[str, np.ndarray],
+    label_mapper: Callable[[str], str],
+    measure: Callable[..., list[float]],
+    noun: str,
+    dataset_name: str,
+) -> SemanticReport:
+    """Mean of measure(*vectors) over the records whose words all resolve to
+    vectors of one dimension; every other record is counted as skipped."""
+    distances: list[float] = []
+    skipped = 0
+    for record in records:
+        vs = [vectors.get(label_mapper(w)) for w in record.words()]
+        if any(v is None for v in vs) or len({v.shape for v in vs}) != 1:
+            skipped += 1
+            continue
+        distances.extend(measure(*vs))
+    if not distances:
+        raise ValueError(
+            f"no resolvable {noun}s for dataset {dataset_name or '<unnamed>'}: "
+            f"{skipped} of {len(records)} {noun}s missing from the embedding vocabulary"
+        )
+    return SemanticReport(
+        pairs_evaluated=len(records) - skipped,
+        pairs_skipped=skipped,
+        mean_distance=sum(distances) / len(distances),
+    )
+
+
 def similarity_mean_distance(
     pairs: Sequence[SimilarityPair],
     vectors: Mapping[str, np.ndarray],
     label_mapper: Callable[[str], str] = default_label_mapper,
     dataset_name: str = "",
 ) -> SemanticReport:
-    """Mean Euclidean distance over pairs whose words both resolve to vectors
-    of matching dimension; everything else is counted as skipped."""
-    distances: list[float] = []
-    skipped = 0
-    for pair in pairs:
-        va = vectors.get(label_mapper(pair.word_a))
-        vb = vectors.get(label_mapper(pair.word_b))
-        if va is None or vb is None or va.shape != vb.shape:
-            skipped += 1
-            continue
-        distances.append(euclidean_distance(va, vb))
-    if not distances:
-        raise ValueError(
-            f"no resolvable pairs for dataset {dataset_name or '<unnamed>'}: "
-            f"{skipped} of {len(pairs)} pairs missing from the embedding vocabulary"
-        )
-    return SemanticReport(
-        pairs_evaluated=len(distances),
-        pairs_skipped=skipped,
-        mean_distance=sum(distances) / len(distances),
+    """Mean Euclidean distance over the pairs whose words both resolve."""
+    return _mean_distance(
+        pairs, vectors, label_mapper, lambda ya, yb: [euclidean_distance(ya, yb)],
+        "pair", dataset_name,
     )
 
 
@@ -160,38 +174,15 @@ def analogy_distance(
     label_mapper: Callable[[str], str] = default_label_mapper,
     dataset_name: str = "",
 ) -> SemanticReport:
-    """Analogy quads scored as distances.
+    """Analogy quads scored as distances; pairs_evaluated counts quads.
 
     pairwise: mean over the (a,b) and (c,d) pair distances of each quad.
     offset:   mean of ||(y_b - y_a + y_c) - y_d|| per quad.
-
-    A quad is evaluated only when all four words resolve with one dimension.
     """
-    if mode not in ANALOGY_MODES:
+    if mode not in ANALOGY_MEASURES:
         raise ValueError(f"unknown analogy mode {mode!r}")
-    distances: list[float] = []
-    evaluated = 0
-    skipped = 0
-    for quad in quads:
-        vs = [vectors.get(label_mapper(w)) for w in quad.words()]
-        if any(v is None for v in vs) or len({v.shape for v in vs}) != 1:
-            skipped += 1
-            continue
-        ya, yb, yc, yd = vs
-        if mode == "pairwise":
-            distances.append(euclidean_distance(ya, yb))
-            distances.append(euclidean_distance(yc, yd))
-        else:
-            distances.append(euclidean_distance(yb - ya + yc, yd))
-        evaluated += 1
-    if not distances:
-        raise ValueError(
-            f"no resolvable quads for dataset {dataset_name or '<unnamed>'}: "
-            f"{skipped} of {len(quads)} quads missing from the embedding vocabulary"
-        )
-    return SemanticReport(
-        pairs_evaluated=evaluated,
-        pairs_skipped=skipped,
-        mean_distance=sum(distances) / len(distances),
-        mode=mode,
+    report = _mean_distance(
+        quads, vectors, label_mapper, ANALOGY_MEASURES[mode], "quad", dataset_name
     )
+    report.mode = mode
+    return report

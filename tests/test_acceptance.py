@@ -33,11 +33,10 @@ from restore.reconstruct import (
 )
 from restore.sdne import SdneParams, init_stack, sdne_train
 from restore.semantic import (
-    analogy_vocab,
+    dataset_vocab,
     euclidean_distance,
     load_analogy_dataset,
     load_similarity_dataset,
-    similarity_vocab,
 )
 
 
@@ -334,10 +333,9 @@ def test_public_dataset_vocab_counts():
             if kind == "similarity":
                 fmt = "csv" if path.suffix == ".csv" else "tsv"
                 records, _ = load_similarity_dataset(path, fmt)
-                vocab = similarity_vocab(records)
             else:
                 records, _ = load_analogy_dataset(path)
-                vocab = analogy_vocab(records)
+            vocab = dataset_vocab(records)
             assert len(vocab) == expected, f"{stem}: {len(vocab)} != {expected}"
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from references import build_graph, has_edge, sgns_corpus_loss, sgns_pair_gradients
+from restore import randomwalk
 from restore.graph import gen_synthetic
 from restore.randomwalk import (
     Node2VecConfig,
@@ -116,6 +117,21 @@ class TestSgns:
         powered = np.array([2.0, 4.0, 0.0, 1.0]) ** 0.75
         noise = _noise_distribution(corpus, 4)
         assert np.allclose(noise, powered / powered.sum(), rtol=0, atol=1e-15)
+
+    def test_learning_rate_schedule_handed_to_epochs(self, monkeypatch):
+        # the rate decays over epochs * pairs steps to a floor of 1e-4 of lr0
+        calls = []
+        real_epoch = randomwalk._sgns_epoch
+
+        def spy(vin, vout, centers, contexts, order, negs, lr0, lr_floor, step0, total, batch):
+            calls.append((lr0, lr_floor, step0, total))
+            real_epoch(vin, vout, centers, contexts, order, negs, lr0, lr_floor, step0, total, batch)
+
+        monkeypatch.setattr(randomwalk, "_sgns_epoch", spy)
+        corpus = WalkCorpus(walks=[np.array([0, 1, 2])], walk_length=3)  # 6 pairs at context 2
+        params = Node2VecConfig(context_size=2, learning_rate=0.05, epochs=3)
+        train_sgns(corpus, 2, params, node_count=3, seed=0)
+        assert calls == [(0.05, 0.05 * 1e-4, 6 * epoch, 18) for epoch in range(3)]
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)

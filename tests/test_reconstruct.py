@@ -122,9 +122,12 @@ class TestPredictEdges:
         vals[2, 0] = 0.5
         vals[0, 1] = 0.5
         vals[1, 2] = 0.5
+        vals[2, 1] = 0.5
+        vals[1, 0] = 0.9
         vals[0, 2] = 0.1
         preds = predict_edges(ScoreMatrix(vals, normalized=True), 0.5)
-        assert [(r[0], r[1]) for r in preds.rows()] == [(0, 1), (1, 2), (2, 0)]
+        # score first; ties across and within source rows by (src, dst)
+        assert [(r[0], r[1]) for r in preds.rows()] == [(1, 0), (0, 1), (1, 2), (2, 0), (2, 1)]
 
     def test_requires_normalized(self):
         with pytest.raises(ValueError, match="normalized"):

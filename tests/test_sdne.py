@@ -133,6 +133,20 @@ class TestTraining:
         assert losses[0] == sdne_loss(g, init_stack(g.node_count, 4, seed=5), params).total
         assert losses[-1] < losses[0]
 
+    def test_momentum_carries_the_previous_step(self):
+        # one batch per epoch: velocity starts at zero, so rho first shows in
+        # the second epoch's update
+        g = gen_synthetic("erdos", 12, seed=4)
+        weights = {}
+        for rho in (0.0, 0.3):
+            def keep(epoch, stack, rho=rho):
+                weights[rho, epoch] = [w.copy() for w in stack.weights]
+
+            sdne_train(g, 3, SdneParams(epochs=2, batch_size=12, rho=rho), seed=2, on_epoch=keep)
+        for a, b in zip(weights[0.0, 1], weights[0.3, 1]):
+            assert np.array_equal(a, b)
+        assert not all(np.array_equal(a, b) for a, b in zip(weights[0.0, 2], weights[0.3, 2]))
+
     def test_embedding_dim_clamped(self):
         g = build_graph([("a", "b"), ("b", "c")])
         emb = sdne_train(g, 64, SdneParams(epochs=2), seed=1)

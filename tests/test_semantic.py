@@ -6,13 +6,12 @@ from restore.semantic import (
     AnalogyQuad,
     SimilarityPair,
     analogy_distance,
-    analogy_vocab,
+    dataset_vocab,
     default_label_mapper,
     euclidean_distance,
     load_analogy_dataset,
     load_similarity_dataset,
     similarity_mean_distance,
-    similarity_vocab,
 )
 
 
@@ -56,11 +55,11 @@ class TestLoaders:
         f = tmp_path / "sim.tsv"
         f.write_text("Car\tauto\t1\ncar\tTruck\t2\n")
         pairs, _ = load_similarity_dataset(f)
-        assert similarity_vocab(pairs) == {"car", "auto", "truck"}
+        assert dataset_vocab(pairs) == {"car", "auto", "truck"}
         g = tmp_path / "an.txt"
         g.write_text("Play played make Made\n")
         quads, _ = load_analogy_dataset(g)
-        assert analogy_vocab(quads) == {"play", "played", "make", "made"}
+        assert dataset_vocab(quads) == {"play", "played", "make", "made"}
 
 
 class TestVocabOverlap:
@@ -189,8 +188,10 @@ class TestAnalogyReport:
             "/c/en/c": np.array([0.0]),
             "/c/en/d": np.array([3.0]),
         }
-        rep = analogy_distance([AnalogyQuad("a", "b", "c", "d")], vectors, mode="pairwise")
+        quads = [AnalogyQuad("a", "b", "c", "d"), AnalogyQuad("c", "d", "a", "b")]
+        rep = analogy_distance(quads, vectors, mode="pairwise")
         assert rep.mean_distance == 2.0  # mean of |a-b|=1 and |c-d|=3
+        assert rep.pairs_evaluated == 2  # quads, not their four distances
 
     def test_partial_quad_skipped(self):
         vectors = {
@@ -204,6 +205,28 @@ class TestAnalogyReport:
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
             analogy_distance([], {}, mode="nearest")
+
+
+@pytest.mark.parametrize("mode", [None, "pairwise", "offset"])
+def test_record_of_mixed_dimensions_skipped(mode):
+    """A record whose words resolve to vectors of two lengths is skipped and
+    counted, like one with a missing word; mode None scores similarity pairs."""
+    vectors = {
+        "/c/en/a": np.array([0.0, 0.0]),
+        "/c/en/b": np.array([3.0, 4.0]),
+        "/c/en/long": np.array([1.0, 0.0, 0.0]),
+    }
+    if mode is None:
+        records = [SimilarityPair("a", "b", 1.0), SimilarityPair("a", "long", 1.0)]
+        score = lambda recs: similarity_mean_distance(recs, vectors)
+    else:
+        records = [AnalogyQuad("a", "b", "a", "b"), AnalogyQuad("a", "b", "a", "long")]
+        score = lambda recs: analogy_distance(recs, vectors, mode=mode)
+    rep = score(records)
+    assert rep.pairs_evaluated == 1 and rep.pairs_skipped == 1
+    assert rep.mean_distance == (0.0 if mode == "offset" else 5.0)
+    with pytest.raises(ValueError, match="no resolvable"):
+        score(records[1:])
 
 
 def test_default_mapper():
