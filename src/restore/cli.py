@@ -9,10 +9,10 @@ import argparse
 import logging
 import sys
 
-from .ingest import EDGE_FORMATS, load_manifest
+from .config import load_manifest
+from .ingest import EDGE_FORMATS
 from .pipeline import (
     PipelineError,
-    config_from_manifest,
     run_all,
     run_embed,
     run_extract,
@@ -70,8 +70,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        cfg = config_from_manifest(
-            load_manifest(args.config),
+        cfg = load_manifest(
+            args.config,
             output_dir=args.output,
             seed=args.seed,
             threshold=args.threshold,

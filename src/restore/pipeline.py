@@ -17,35 +17,24 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
-from functools import partial
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence, get_type_hints
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .dot import render_dot
-from .emb_io import EMB_FORMATS, read_embedding, write_embedding
+from .emb_io import read_embedding, write_embedding
 from .factorization import clamp_dim, hope_embed, lap_embed, lle_embed
 from .graph import DiGraph, khop_ego_subgraph
-from .ingest import (
-    ALGORITHMS,
-    Manifest,
-    graph_from_records,
-    one_of,
-    parse_edge_list,
-    resolve_centers,
-    write_atomic,
-    write_edge_list,
-)
-from .randomwalk import Node2VecConfig, node2vec_embed
-from .reconstruct import DEFAULT_FRACTIONS, SCORERS, reconstruction_report
-from .sdne import SdneParams, sdne_train
+from .ingest import graph_from_records, parse_edge_list, write_atomic, write_edge_list
+from .randomwalk import node2vec_embed
+from .reconstruct import DEFAULT_FRACTIONS, reconstruction_report
+from .sdne import sdne_train
 from .semantic import (
-    ANALOGY_MODES,
     analogy_distance,
     dataset_vocab,
-    default_label_mapper,
     load_analogy_dataset,
     load_similarity_dataset,
     similarity_mean_distance,
@@ -60,158 +49,9 @@ DIFF_COLUMNS = ("algorithm", "hop", "avg_nodes", "avg_added_nodes", "avg_missing
 SEMANTIC_COLUMNS = ("dataset", "algorithm", "hop", "mean_distance", "pairs_evaluated",
                     "pairs_skipped")
 
-DEFAULT_DIM_SCHEDULE = {1: 2, 2: 64, 3: 128}
-DEFAULT_SCORERS = {
-    "node2vec": "dot",
-    "sdne": "dot",
-    "hope": "asym_dot",
-    "lap": "neg_distance",
-    "lle": "neg_distance",
-}
-
 
 class PipelineError(RuntimeError):
     """Total pipeline failure: nothing usable was produced."""
-
-
-@dataclass
-class PipelineConfig:
-    manifest: Manifest
-    output_dir: Path
-    dim_schedule: dict[int, int] = field(default_factory=lambda: dict(DEFAULT_DIM_SCHEDULE))
-    epochs: int = 50
-    threshold: float = 0.5
-    prec_fractions: tuple[float, ...] = DEFAULT_FRACTIONS
-    scorers: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_SCORERS))
-    node2vec: Node2VecConfig = field(default_factory=Node2VecConfig)
-    sdne: SdneParams = field(default_factory=SdneParams)
-    hope_beta: float = 0.01
-    analogy_mode: str = "pairwise"
-    emb_format: str = "binary"
-    label_prefix: str = "/c/en/"
-    seed: int = 0
-    workers: int = 1
-    dot: bool = False
-
-    def __post_init__(self):
-        # the top-level epochs is the one source of both trainers' epochs
-        self.node2vec = replace(self.node2vec, epochs=self.epochs)
-        self.sdne = replace(self.sdne, epochs=self.epochs)
-
-    def label_mapper(self) -> Callable[[str], str]:
-        return partial(default_label_mapper, prefix=self.label_prefix)
-
-    @property
-    def layout(self) -> Layout:
-        return Layout(self.output_dir)
-
-    def effective_dict(self) -> dict:
-        """Every effective hyperparameter, serialized for the run report."""
-        eff = asdict(self)
-        for name in ("manifest", "output_dir", "workers", "dot"):
-            del eff[name]
-        eff["dim_schedule"] = {str(k): v for k, v in sorted(self.dim_schedule.items())}
-        eff["prec_fractions"] = list(self.prec_fractions)
-        return eff
-
-
-def _parse_dim_schedule(value: str, hops: Sequence[int]) -> dict[int, int]:
-    schedule = {}
-    for chunk in value.split(","):
-        hop, _, dim = chunk.partition(":")
-        if int(dim) < 1:
-            raise ValueError(f"{value!r} gives hop {hop} dimension {dim}, below 1")
-        schedule[int(hop)] = int(dim)
-    missing = [hop for hop in hops if hop not in schedule]
-    if missing:
-        raise ValueError(f"{value!r} gives no dimension for hops {missing} of this run")
-    return schedule
-
-
-def _positive(value: str) -> float:
-    parsed = float(value)
-    if parsed <= 0:
-        raise ValueError(f"{value!r} is not positive")
-    return parsed
-
-
-def _unit_interval(value: str | float) -> float:
-    parsed = float(value)
-    if not 0.0 <= parsed <= 1.0:  # also refuses nan
-        raise ValueError(f"{value!r} is not in [0, 1]")
-    return parsed
-
-
-def _option_casts(hops: Sequence[int]) -> dict[str, Callable[[str], object]]:
-    """Manifest option key -> parser, walked from the config's own fields.
-
-    `seed` is the manifest's own `seed` line and `workers` a CLI flag; the
-    embedders' `epochs` come from the top-level `epochs`. None of these is an
-    option key.
-    """
-    casts: dict[str, Callable[[str], object]] = {
-        "dim_schedule": partial(_parse_dim_schedule, hops=hops)}
-    casts.update({f"scorer.{algo}": one_of(*SCORERS) for algo in ALGORITHMS})
-    for name, hint in get_type_hints(PipelineConfig).items():
-        if hint in (int, float, str) and name not in ("seed", "workers"):
-            casts[name] = hint
-        elif is_dataclass(hint) and name != "manifest":
-            casts.update({
-                f"{name}.{sub}": cast for sub, cast in get_type_hints(hint).items()
-                if sub != "epochs"
-            })
-    casts.update(emb_format=one_of(*EMB_FORMATS), analogy_mode=one_of(*ANALOGY_MODES),
-                 hope_beta=_positive, threshold=_unit_interval)
-    return casts
-
-
-def config_from_manifest(
-    manifest: Manifest,
-    output_dir: str | Path,
-    seed: int | None = None,
-    threshold: float | None = None,
-    workers: int = 1,
-    dot: bool = False,
-    graph_format: str | None = None,
-) -> PipelineConfig:
-    """Apply manifest options and CLI overrides on top of the defaults.
-
-    Each value is applied as its line is read, so an unknown option key, a
-    value its field cannot parse, or one that the embedder settings reject
-    raises ValueError naming the manifest line it came from. An out-of-range
-    `workers` or `threshold` override raises ValueError naming its flag.
-    """
-    if workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {workers}")
-    casts = _option_casts(manifest.hops)
-    cfg = PipelineConfig(
-        manifest=replace(manifest, graph_format=graph_format) if graph_format else manifest,
-        output_dir=Path(output_dir),
-        seed=manifest.seed if seed is None else seed,
-        workers=workers,
-        dot=dot,
-    )
-    for key, raw in manifest.options.items():
-        where = manifest.option_locations.get(key, "manifest")
-        if key not in casts:
-            raise ValueError(f"{where}: unknown manifest key {key!r}")
-        group, _, name = key.rpartition(".")
-        try:
-            value = casts[key](raw)
-            if group == "scorer":
-                cfg.scorers[name] = value
-            elif group:
-                setattr(cfg, group, replace(getattr(cfg, group), **{name: value}))
-            else:
-                cfg = replace(cfg, **{name: value})
-        except ValueError as exc:
-            raise ValueError(f"{where}: bad value for {key}: {exc}") from None
-    if threshold is not None:
-        try:
-            cfg.threshold = _unit_interval(threshold)
-        except ValueError as exc:
-            raise ValueError(f"bad value for --threshold: {exc}") from None
-    return cfg
 
 
 # -- cells and the output layout ------------------------------------------
@@ -312,10 +152,10 @@ def _warn_skipped(path: str | Path, diagnostics: list[str]) -> None:
                     path, len(diagnostics), "; ".join(diagnostics[:5]))
 
 
-def load_datasets(cfg: PipelineConfig) -> dict[str, dict]:
+def load_datasets(cfg: RunConfig) -> dict[str, dict]:
     """name -> {kind, records, vocab}"""
     out = {}
-    for name, (kind, path) in sorted(cfg.manifest.dataset_paths.items()):
+    for name, (kind, path) in sorted(cfg.dataset_paths.items()):
         if kind == "similarity":
             fmt = "csv" if path.endswith(".csv") else "tsv"
             records, diags = load_similarity_dataset(path, fmt)
@@ -336,7 +176,7 @@ def _load_subgraph(out: Layout, cell: Cell) -> DiGraph:
     return graph_from_records(parse_edge_list(out.subgraph(cell), "tsv3"))
 
 
-def run_stage(cfg: PipelineConfig, stage: str, cells: list[Cell], worker) -> tuple[dict, list[dict]]:
+def run_stage(cfg: RunConfig, stage: str, cells: list[Cell], worker) -> tuple[dict, list[dict]]:
     """Run `worker` over cells on a bounded thread pool; return results by cell key, and errors.
 
     A failing cell becomes an entry of errors_<stage>.json, sorted by cell,
@@ -358,7 +198,7 @@ def run_stage(cfg: PipelineConfig, stage: str, cells: list[Cell], worker) -> tup
     results = {key: value for key, value, error, _ in outcomes if error is None}
     errors = sorted((error for *_, error, _ in outcomes if error is not None),
                     key=lambda e: e["cell"])
-    out = cfg.layout
+    out = Layout(cfg.output_dir)
     _write_json(out.errors(stage), errors)
     timings = _read_json(out.timings) if out.timings.exists() else {}
     timings[stage] = {key: seconds for key, *_, seconds in outcomes}
@@ -367,32 +207,53 @@ def run_stage(cfg: PipelineConfig, stage: str, cells: list[Cell], worker) -> tup
     return results, errors
 
 
-def _center_cells(cfg: PipelineConfig) -> list[Cell]:
+def _center_cells(cfg: RunConfig) -> list[Cell]:
     """One cell per (center, hop) of cells.json and algorithm of the manifest."""
     return [
         Cell(c["center"], c["slug"], c["hop"], algo, cell_seed(cfg.seed, c["center"], c["hop"], algo))
-        for c in _read_json(cfg.layout.cells)["cells"]
-        for algo in cfg.manifest.algorithms
+        for c in _read_json(Layout(cfg.output_dir).cells)["cells"]
+        for algo in cfg.algorithms
     ]
 
 
 # -- stage: extract --------------------------------------------------------
 
 
-def run_extract(cfg: PipelineConfig) -> list[dict]:
-    manifest = cfg.manifest
-    parsed = parse_edge_list(manifest.graph_path, manifest.graph_format)
+def resolve_centers(
+    cfg: RunConfig, dataset_vocab: Mapping[str, set[str]], graph: DiGraph
+) -> tuple[list[str], list[str]]:
+    """(resolved, unresolved) center labels: explicit labels deduplicated in
+    manifest order and split by graph membership, or else the mapped dataset
+    vocabulary intersected with the graph, sorted. Raises if none resolves."""
+    if cfg.center_mode == "explicit" or cfg.center_labels:
+        labels = list(dict.fromkeys(cfg.center_labels))
+        resolved = [lab for lab in labels if graph.has_label(lab)]
+        unresolved = [lab for lab in labels if not graph.has_label(lab)]
+        why = f"center labels not present in graph: {unresolved}"
+    else:
+        mapper = cfg.label_mapper()
+        mapped = {mapper(word) for vocab in dataset_vocab.values() for word in vocab}
+        resolved = sorted(lab for lab in mapped if graph.has_label(lab))
+        unresolved = []
+        why = "dataset vocabulary does not overlap the graph"
+    if not resolved:
+        raise ValueError(f"no centers resolved: {why}")
+    return resolved, unresolved
+
+
+def run_extract(cfg: RunConfig) -> list[dict]:
+    parsed = parse_edge_list(cfg.graph_path, cfg.graph_format)
     if not parsed.edges and not parsed.isolated_nodes:
-        raise PipelineError(f"graph file {manifest.graph_path} holds no edges")
-    _warn_skipped(manifest.graph_path, parsed.diagnostics)
+        raise PipelineError(f"graph file {cfg.graph_path} holds no edges")
+    _warn_skipped(cfg.graph_path, parsed.diagnostics)
     graph = graph_from_records(parsed)
     vocab = {name: info["vocab"] for name, info in load_datasets(cfg).items()}
-    out = cfg.layout
+    out = Layout(cfg.output_dir)
 
-    centers, unresolved = resolve_centers(manifest, vocab, graph, cfg.label_mapper())
+    centers, unresolved = resolve_centers(cfg, vocab, graph)
     # unresolved explicit centers become error entries, the rest proceed
     cells = [Cell(label) for label in unresolved] + [
-        Cell(label, center_slug(label), hop) for label in centers for hop in manifest.hops
+        Cell(label, center_slug(label), hop) for label in centers for hop in cfg.hops
     ]
 
     def worker(cell: Cell):
@@ -404,7 +265,7 @@ def run_extract(cfg: PipelineConfig) -> list[dict]:
 
     stats, errors = run_stage(cfg, "extract", cells, worker)
     per_hop = {}
-    for hop in manifest.hops:
+    for hop in cfg.hops:
         vs = [s["nodes"] for s in stats.values() if s["hop"] == hop]
         es = [s["edges"] for s in stats.values() if s["hop"] == hop]
         if vs:
@@ -414,8 +275,8 @@ def run_extract(cfg: PipelineConfig) -> list[dict]:
             }
     _write_json(out.cells, {
         "centers": [{"label": label, "slug": center_slug(label)} for label in centers],
-        "hops": list(manifest.hops),
-        "algorithms": list(manifest.algorithms),
+        "hops": list(cfg.hops),
+        "algorithms": list(cfg.algorithms),
         "cells": [
             {"center": c.center, "slug": c.slug, "hop": c.hop} for c in cells if c.key in stats
         ],
@@ -431,7 +292,7 @@ def run_extract(cfg: PipelineConfig) -> list[dict]:
 # -- stage: embed -----------------------------------------------------------
 
 
-def _embed_one(cfg: PipelineConfig, sub: DiGraph, algorithm: str, dim: int, seed: int):
+def _embed_one(cfg: RunConfig, sub: DiGraph, algorithm: str, dim: int, seed: int):
     if algorithm == "hope":
         return hope_embed(sub, dim, beta=cfg.hope_beta)
     if algorithm == "lle":
@@ -445,8 +306,8 @@ def _embed_one(cfg: PipelineConfig, sub: DiGraph, algorithm: str, dim: int, seed
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def run_embed(cfg: PipelineConfig) -> list[dict]:
-    out = cfg.layout
+def run_embed(cfg: RunConfig) -> list[dict]:
+    out = Layout(cfg.output_dir)
     _require(out, "embed", out.cells)
 
     def worker(cell: Cell):
@@ -472,8 +333,8 @@ def run_embed(cfg: PipelineConfig) -> list[dict]:
 # -- stage: reconstruct ------------------------------------------------------
 
 
-def run_reconstruct(cfg: PipelineConfig) -> list[dict]:
-    out = cfg.layout
+def run_reconstruct(cfg: RunConfig) -> list[dict]:
+    out = Layout(cfg.output_dir)
     _require(out, "reconstruct", out.embed_log)
     embed_log = _read_json(out.embed_log)
     # a cell whose embedding failed upstream has its error recorded already
@@ -483,7 +344,7 @@ def run_reconstruct(cfg: PipelineConfig) -> list[dict]:
         sub = _load_subgraph(out, cell)
         emb = read_embedding(out.embedding(cell))
         scorer = cfg.scorers[cell.algorithm]
-        report = reconstruction_report(emb, sub, scorer, cfg.threshold, cfg.prec_fractions)
+        report = reconstruction_report(emb, sub, scorer, cfg.threshold)
         payload = {
             "center": cell.center,
             "hop": cell.hop,
@@ -518,19 +379,19 @@ def run_reconstruct(cfg: PipelineConfig) -> list[dict]:
 # -- stage: semantic ----------------------------------------------------------
 
 
-def _semantic_cells(cfg: PipelineConfig) -> list[Cell]:
+def _semantic_cells(cfg: RunConfig) -> list[Cell]:
     """One cell per (dataset, hop, algorithm) of the manifest; a dataset's
     name is its own slug."""
     return [
         Cell(name, name, hop, algo)
-        for name in sorted(cfg.manifest.dataset_paths)
-        for hop in cfg.manifest.hops
-        for algo in cfg.manifest.algorithms
+        for name in sorted(cfg.dataset_paths)
+        for hop in cfg.hops
+        for algo in cfg.algorithms
     ]
 
 
-def run_semantic(cfg: PipelineConfig) -> list[dict]:
-    out = cfg.layout
+def run_semantic(cfg: RunConfig) -> list[dict]:
+    out = Layout(cfg.output_dir)
     _require(out, "semantic", out.cells, out.embed_log)
     mapper = cfg.label_mapper()
     datasets = load_datasets(cfg)
@@ -594,21 +455,39 @@ def _load_cells(files: dict[str, Path]) -> dict[str, dict]:
     return cells
 
 
-def _by_algorithm_hop(cfg: PipelineConfig, cells: dict[str, dict]) -> list[tuple[str, int, list]]:
+def _by_algorithm_hop(cfg: RunConfig, cells: dict[str, dict]) -> list[tuple[str, int, list]]:
     """(algorithm, hop, cells) in manifest order, skipping empty groups."""
     groups: dict[tuple[str, int], list[dict]] = {}
     for cell in cells.values():
         groups.setdefault((cell["algorithm"], cell["hop"]), []).append(cell)
     return [
         (algo, hop, groups[algo, hop])
-        for algo in cfg.manifest.algorithms
-        for hop in cfg.manifest.hops
+        for algo in cfg.algorithms
+        for hop in cfg.hops
         if (algo, hop) in groups
     ]
 
 
-def run_report(cfg: PipelineConfig) -> list[dict]:
-    out = cfg.layout
+def report_config(cfg: RunConfig) -> dict:
+    """The settings report.json records under `config`."""
+    return {
+        "seed": cfg.seed,
+        "dim_schedule": {str(hop): dim for hop, dim in sorted(cfg.dim_schedule.items())},
+        "epochs": cfg.epochs,
+        "threshold": cfg.threshold,
+        "prec_fractions": list(DEFAULT_FRACTIONS),
+        "scorers": dict(cfg.scorers),
+        "node2vec": asdict(cfg.node2vec),
+        "sdne": asdict(cfg.sdne),
+        "hope_beta": cfg.hope_beta,
+        "analogy_mode": cfg.analogy_mode,
+        "emb_format": cfg.emb_format,
+        "label_prefix": cfg.label_prefix,
+    }
+
+
+def run_report(cfg: RunConfig) -> list[dict]:
+    out = Layout(cfg.output_dir)
     _require(out, "report", out.cells, out.embed_log)
 
     errors: list[dict] = []
@@ -631,7 +510,7 @@ def run_report(cfg: PipelineConfig) -> list[dict]:
             "cells": len(cells),
             "map": _mean([c["map"] for c in cells]),
             "prec_at": {
-                str(f): _mean([c["prec_at"][str(f)] for c in cells]) for f in cfg.prec_fractions
+                str(f): _mean([c["prec_at"][str(f)] for c in cells]) for f in DEFAULT_FRACTIONS
             },
         })
         diff_rows.append({
@@ -655,8 +534,8 @@ def run_report(cfg: PipelineConfig) -> list[dict]:
     report = {
         "schema_version": SCHEMA_VERSION,
         "seed": cfg.seed,
-        "config": cfg.effective_dict(),
-        "graph_path": cfg.manifest.graph_path,
+        "config": report_config(cfg),
+        "graph_path": cfg.graph_path,
         "stats": _read_json(out.stats) if out.stats.exists() else {},
         "reconstruction": {"cells": recon_cells, "aggregate": recon_rows, "diff": diff_rows},
         "semantic": {"cells": semantic_cells, "aggregate": semantic_averages, "datasets": datasets},
@@ -665,7 +544,7 @@ def run_report(cfg: PipelineConfig) -> list[dict]:
     validate_run_result(report)
     _write_json(out.report, report)
 
-    prec_columns = [f"prec@{f}" for f in cfg.prec_fractions]
+    prec_columns = [f"prec@{f}" for f in DEFAULT_FRACTIONS]
     _write_csv(out.report_csv("recon"), ["algorithm", "hop", "map", *prec_columns], [
         {**row, **{f"prec@{f}": v for f, v in row["prec_at"].items()}} for row in recon_rows
     ])
@@ -716,11 +595,11 @@ def validate_run_result(report: dict) -> None:
 # -- run-all -----------------------------------------------------------------
 
 
-def run_all(cfg: PipelineConfig) -> list[dict]:
+def run_all(cfg: RunConfig) -> list[dict]:
     run_extract(cfg)
     run_embed(cfg)
     run_reconstruct(cfg)
-    if cfg.manifest.dataset_paths:
+    if cfg.dataset_paths:
         run_semantic(cfg)
     # the report stage merges every stage's error ledger
     return run_report(cfg)

@@ -135,18 +135,21 @@ def _mean_distance(
     """Mean of measure(*vectors) over the records whose words all resolve to
     vectors of one dimension; every other record is counted as skipped."""
     distances: list[float] = []
-    skipped = 0
+    missing = mixed = 0
     for record in records:
         vs = [vectors.get(label_mapper(w)) for w in record.words()]
-        if any(v is None for v in vs) or len({v.shape for v in vs}) != 1:
-            skipped += 1
-            continue
-        distances.extend(measure(*vs))
+        if any(v is None for v in vs):
+            missing += 1
+        elif len({v.shape for v in vs}) != 1:
+            mixed += 1
+        else:
+            distances.extend(measure(*vs))
+    skipped = missing + mixed
     if not distances:
-        raise ValueError(
-            f"no resolvable {noun}s for dataset {dataset_name or '<unnamed>'}: "
-            f"{skipped} of {len(records)} {noun}s missing from the embedding vocabulary"
-        )
+        why = f"{missing} of {len(records)} {noun}s missing from the embedding vocabulary"
+        if mixed:
+            why += f", {mixed} with vectors of mixed lengths"
+        raise ValueError(f"no resolvable {noun}s for dataset {dataset_name or '<unnamed>'}: {why}")
     return SemanticReport(
         pairs_evaluated=len(records) - skipped,
         pairs_skipped=skipped,

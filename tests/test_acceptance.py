@@ -18,10 +18,11 @@ import pytest
 from oracles import oracle_mean_average_precision, oracle_precision_at_fractions
 from references import build_graph, gradient_check, katz_series, sgns_pair_gradients
 from restore.cli import main as cli_main
+from restore.config import DEFAULT_SCORERS
 from restore.factorization import hope_embed, lap_embed, lle_embed
 from restore.graph import gen_synthetic, khop_ego_subgraph
 from restore.linalg import katz_similarity, sym_eig_smallest, truncated_svd
-from restore.pipeline import DEFAULT_SCORERS, cell_seed
+from restore.pipeline import cell_seed
 from restore.randomwalk import Node2VecConfig, node2vec_embed
 from restore.reconstruct import (
     ScoreMatrix,

@@ -1,14 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from restore.graph import gen_synthetic, graph_from_labeled_edges
-from restore.ingest import (
-    Manifest,
-    graph_from_records,
-    load_manifest,
-    parse_edge_list,
-    resolve_centers,
-    write_edge_list,
-)
+from restore.ingest import graph_from_records, parse_edge_list, write_edge_list
+from restore.config import RunConfig, load_manifest
+from restore.pipeline import resolve_centers
 
 
 class TestParseEdgeList:
@@ -94,12 +91,12 @@ algorithm = hope
 algorithm = lap
 seed = 9
 threshold = 0.4
-"""))
+"""), tmp_path / "out")
         assert m.graph_path.endswith("g.tsv")
-        assert m.hops == [1, 2]
-        assert m.algorithms == ["hope", "lap"]
+        assert m.hops == (1, 2)
+        assert m.algorithms == ("hope", "lap")
         assert m.seed == 9
-        assert m.options["threshold"] == "0.4"
+        assert m.threshold == 0.4
 
     def test_dataset_lines(self, tmp_path):
         (tmp_path / "g.tsv").write_text("a\tr\tb\n")
@@ -107,45 +104,46 @@ threshold = 0.4
         m = load_manifest(self.write(tmp_path, """
 graph_path = g.tsv
 dataset = rg65 similarity rg.tsv
-"""))
+"""), tmp_path / "out")
         kind, path = m.dataset_paths["rg65"]
         assert kind == "similarity" and path.endswith("rg.tsv")
 
     def test_defaults(self, tmp_path):
         (tmp_path / "g.tsv").write_text("a\tr\tb\n")
-        m = load_manifest(self.write(tmp_path, "graph_path = g.tsv\n"))
-        assert m.hops == [1, 2, 3]
-        assert m.algorithms == ["node2vec", "hope", "sdne", "lap", "lle"]
+        m = load_manifest(self.write(tmp_path, "graph_path = g.tsv\n"), tmp_path / "out")
+        assert m.hops == (1, 2, 3)
+        assert m.algorithms == ("node2vec", "hope", "sdne", "lap", "lle")
         assert m.center_mode == "from-datasets"
 
     def test_invalid_hop_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="hops"):
-            Manifest(graph_path="x", hops=[4])
+        with pytest.raises(ValueError, match="hop"):
+            load_manifest(self.write(tmp_path, "graph_path = x\nhop = 4\n"), tmp_path / "out")
 
     def test_invalid_algorithm_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="algorithms"):
-            Manifest(graph_path="x", algorithms=["glove"])
+        with pytest.raises(ValueError, match="algorithm"):
+            load_manifest(self.write(tmp_path, "graph_path = x\nalgorithm = glove\n"),
+                          tmp_path / "out")
 
     def test_missing_graph_path(self, tmp_path):
         with pytest.raises(ValueError, match="graph_path"):
-            load_manifest(self.write(tmp_path, "seed = 1\n"))
+            load_manifest(self.write(tmp_path, "seed = 1\n"), tmp_path / "out")
 
 
 class TestResolveCenters:
     def test_explicit_present(self):
         g = graph_from_labeled_edges([("/c/en/smartphone", "/c/en/telephone")])
-        m = Manifest(graph_path="x", center_mode="explicit", center_labels=["/c/en/smartphone"])
+        m = RunConfig("x", Path("out"), center_mode="explicit", center_labels=("/c/en/smartphone",))
         assert resolve_centers(m, {}, g) == (["/c/en/smartphone"], [])
 
     def test_explicit_split_in_manifest_order(self):
         g = graph_from_labeled_edges([("a", "b"), ("b", "c")])
-        m = Manifest(graph_path="x", center_mode="explicit",
-                     center_labels=["c", "ghost", "a", "c", "ghost"])
+        m = RunConfig("x", Path("out"), center_mode="explicit",
+                      center_labels=("c", "ghost", "a", "c", "ghost"))
         assert resolve_centers(m, {}, g) == (["c", "a"], ["ghost"])
 
     def test_explicit_absent_names_label(self):
         g = graph_from_labeled_edges([("a", "b")])
-        m = Manifest(graph_path="x", center_mode="explicit", center_labels=["ghost"])
+        m = RunConfig("x", Path("out"), center_mode="explicit", center_labels=("ghost",))
         with pytest.raises(ValueError, match="no centers resolved.*ghost"):
             resolve_centers(m, {}, g)
 
@@ -153,12 +151,12 @@ class TestResolveCenters:
         g = graph_from_labeled_edges(
             [("/c/en/cat", "/c/en/dog"), ("/c/en/dog", "/c/en/fish")]
         )
-        m = Manifest(graph_path="x")
+        m = RunConfig("x", Path("out"))
         vocab = {"sim": {"cat", "unicorn"}, "an": {"dog"}}
         assert resolve_centers(m, vocab, g) == (["/c/en/cat", "/c/en/dog"], [])
 
     def test_empty_resolution_errors(self):
         g = graph_from_labeled_edges([("a", "b")])
-        m = Manifest(graph_path="x")
+        m = RunConfig("x", Path("out"))
         with pytest.raises(ValueError, match="no centers"):
             resolve_centers(m, {"sim": {"nothing"}}, g)

@@ -1,7 +1,9 @@
 import ast
+import dataclasses
 import errno
 import importlib
 import json
+import pickle
 import re
 from pathlib import Path
 
@@ -13,14 +15,10 @@ from references import build_graph
 from restore.cli import main as cli_main
 from restore.emb_io import read_embedding, write_embedding
 from restore.factorization import EmbeddingMatrix, hope_embed
-from restore.ingest import graph_from_records, load_manifest, parse_edge_list
-from restore.pipeline import (
-    PipelineConfig,
-    cell_seed,
-    center_slug,
-    config_from_manifest,
-    validate_run_result,
-)
+from restore.config import ALGORITHMS, MANIFEST_KEYS, RunConfig, load_manifest
+from restore.ingest import graph_from_records, parse_edge_list
+from restore.pipeline import cell_seed, center_slug, report_config, validate_run_result
+from restore.randomwalk import Node2VecConfig
 
 TOY_GRAPH = """\
 /c/en/cat\trelated\t/c/en/dog
@@ -157,8 +155,8 @@ class TestDefaults:
     def test_effective_defaults_match_fixed_values(self, tmp_path):
         (tmp_path / "g.tsv").write_text("a\tr\tb\n")
         (tmp_path / "m.cfg").write_text(f"graph_path = {tmp_path / 'g.tsv'}\n")
-        cfg = config_from_manifest(load_manifest(tmp_path / "m.cfg"), tmp_path / "out")
-        eff = cfg.effective_dict()
+        cfg = load_manifest(tmp_path / "m.cfg", tmp_path / "out")
+        eff = report_config(cfg)
         assert eff["dim_schedule"] == {"1": 2, "2": 64, "3": 128}
         assert eff["epochs"] == 50
         assert eff["threshold"] == 0.5
@@ -184,8 +182,72 @@ class TestDefaults:
         assert a == b
         assert a != c
         assert a >= 0
-        by_algorithm = {cell_seed(5, "/c/en/cat", 1, algo) for algo in pipeline.ALGORITHMS}
-        assert len(by_algorithm) == len(pipeline.ALGORITHMS) == 5
+        by_algorithm = {cell_seed(5, "/c/en/cat", 1, algo) for algo in ALGORITHMS}
+        assert len(by_algorithm) == len(ALGORITHMS) == 5
+
+
+class TestLoadManifest:
+    def test_every_line_is_checked(self, tmp_path, capsys):
+        """A bad line fails even when a later line repeats its key with a good
+        value; of several bad lines, the first in the file is named."""
+        manifest = write_world(tmp_path, extra="threshold = 5\nthreshold = 0.3\n")
+        line = len(manifest.read_text().splitlines()) - 1
+        out = tmp_path / "out"
+        assert cli_main(["extract", "--config", str(manifest), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"run.cfg:{line}: bad value for threshold: '5'" in err
+        assert not (out / "cells.json").exists()
+        manifest = write_world(tmp_path, extra="epochs = 0\nseed = x\n")
+        with pytest.raises(ValueError, match=f"run.cfg:{line}: bad value for epochs"):
+            load_manifest(manifest, out)
+        # a repeated good value takes the last line
+        manifest = write_world(tmp_path, extra="threshold = 0.2\nthreshold = 0.3\n")
+        assert load_manifest(manifest, out).threshold == 0.3
+
+    def test_explicit_centers_need_a_center_line(self, tmp_path, capsys):
+        (tmp_path / "graph.tsv").write_text(TOY_GRAPH)
+        manifest = tmp_path / "run.cfg"
+        manifest.write_text(f"graph_path = {tmp_path / 'graph.tsv'}\ncenters = explicit\nhop = 1\n")
+        out = tmp_path / "out"
+        assert cli_main(["run-all", "--config", str(manifest), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("restore: error: ") and "run.cfg:2: centers = explicit" in err
+        assert not out.exists()
+
+    def test_dim_schedule_before_hop_lines(self, tmp_path):
+        """The schedule is checked against the run's hops after the last line,
+        and the error names the schedule's own line and value."""
+        (tmp_path / "graph.tsv").write_text(TOY_GRAPH)
+        manifest = tmp_path / "run.cfg"
+        head = f"graph_path = {tmp_path / 'graph.tsv'}\n"
+        manifest.write_text(head + "dim_schedule = 1:1\nhop = 1\nhop = 2\n")
+        with pytest.raises(ValueError, match=r"run.cfg:2: bad value for dim_schedule: '1:1' gives "
+                                             r"no dimension for hops \[2\] of this run"):
+            load_manifest(manifest, tmp_path / "out")
+        manifest.write_text(head + "dim_schedule = 1:1,2:3\nhop = 1\nhop = 2\n")
+        assert load_manifest(manifest, tmp_path / "out").dim_schedule == {1: 1, 2: 3}
+
+    def test_built_config_is_frozen_and_picklable(self):
+        """The top-level epochs sets both trainers' epochs in a config built
+        directly too."""
+        cfg = RunConfig("g.tsv", Path("out"), epochs=7, node2vec=Node2VecConfig(p=2.0))
+        assert cfg.node2vec.epochs == cfg.sdne.epochs == 7 and cfg.node2vec.p == 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.epochs = 3
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+    def test_readme_names_every_key(self):
+        """The README's "Manifest schema" table names each key the loader
+        accepts and no other; scorer.*, node2vec.* and sdne.* count per group."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Manifest schema", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `([^`]+)`", section, flags=re.MULTILINE)
+
+        def group(key: str) -> str:
+            prefix, dot, _ = key.partition(".")
+            return f"{prefix}.*" if dot else key
+
+        assert {group(key) for key in rows} == {group(key) for key in MANIFEST_KEYS}
 
 
 class TestCliRuns:
@@ -579,10 +641,8 @@ dim_schedule = 1:4,2:4,3:4
         assert report["config"]["threshold"] == 0.25
         any_cell = next(iter(report["reconstruction"]["cells"].values()))
         assert any_cell["threshold"] == 0.25
-        loaded = load_manifest(manifest)
-        cfg = config_from_manifest(loaded, out, graph_format="tsv_kgtk")
-        assert cfg.manifest.graph_format == "tsv_kgtk"
-        assert loaded.graph_format == "tsv3"
+        assert load_manifest(manifest, out, graph_format="tsv_kgtk").graph_format == "tsv_kgtk"
+        assert load_manifest(manifest, out).graph_format == "tsv3"
 
     def test_workers_do_not_change_results(self, tmp_path):
         manifest = write_world(tmp_path)

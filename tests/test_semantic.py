@@ -210,7 +210,8 @@ class TestAnalogyReport:
 @pytest.mark.parametrize("mode", [None, "pairwise", "offset"])
 def test_record_of_mixed_dimensions_skipped(mode):
     """A record whose words resolve to vectors of two lengths is skipped and
-    counted, like one with a missing word; mode None scores similarity pairs."""
+    counted, like one with a missing word; mode None scores similarity pairs.
+    With nothing left to score, the error counts the two causes apart."""
     vectors = {
         "/c/en/a": np.array([0.0, 0.0]),
         "/c/en/b": np.array([3.0, 4.0]),
@@ -218,15 +219,22 @@ def test_record_of_mixed_dimensions_skipped(mode):
     }
     if mode is None:
         records = [SimilarityPair("a", "b", 1.0), SimilarityPair("a", "long", 1.0)]
+        ghost = SimilarityPair("a", "ghost", 1.0)
         score = lambda recs: similarity_mean_distance(recs, vectors)
     else:
         records = [AnalogyQuad("a", "b", "a", "b"), AnalogyQuad("a", "b", "a", "long")]
+        ghost = AnalogyQuad("a", "b", "a", "ghost")
         score = lambda recs: analogy_distance(recs, vectors, mode=mode)
     rep = score(records)
     assert rep.pairs_evaluated == 1 and rep.pairs_skipped == 1
     assert rep.mean_distance == (0.0 if mode == "offset" else 5.0)
-    with pytest.raises(ValueError, match="no resolvable"):
-        score(records[1:])
+    noun = "pair" if mode is None else "quad"
+    missing = f"{noun}s missing from the embedding vocabulary"
+    for recs, why in [(records[1:], f"0 of 1 {missing}, 1 with vectors of mixed lengths"),
+                      ([records[1], ghost], f"1 of 2 {missing}, 1 with vectors of mixed lengths"),
+                      ([ghost], f"1 of 1 {missing}")]:
+        with pytest.raises(ValueError, match=f"^no resolvable {noun}s for dataset <unnamed>: {why}$"):
+            score(recs)
 
 
 def test_default_mapper():
