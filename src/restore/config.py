@@ -35,7 +35,6 @@ class RunConfig:
     output_dir: Path
     graph_format: str = "tsv3"
     dataset_paths: dict[str, tuple[str, str]] = field(default_factory=dict)  # name -> (kind, path)
-    center_mode: str = "from-datasets"  # or "explicit"
     center_labels: tuple[str, ...] = ()
     hops: tuple[int, ...] = HOPS
     algorithms: tuple[str, ...] = ALGORITHMS
@@ -54,6 +53,9 @@ class RunConfig:
     dot: bool = False
 
     def __post_init__(self):
+        # the grid holds each center, hop and algorithm once, in the order given
+        for name in ("center_labels", "hops", "algorithms"):
+            object.__setattr__(self, name, tuple(dict.fromkeys(getattr(self, name))))
         # the top-level epochs is the one source of both trainers' epochs
         object.__setattr__(self, "node2vec", replace(self.node2vec, epochs=self.epochs))
         object.__setattr__(self, "sdne", replace(self.sdne, epochs=self.epochs))
@@ -112,12 +114,13 @@ def _unit_interval(value: str | float) -> float:
 # manifest key -> (the RunConfig field it sets, the parser of its value). A
 # dotted field names one setting inside that field. The keys of the fields
 # that hold several values (dataset, center, hop, algorithm) repeat, adding
-# one value per line.
+# one value per line. `centers` sets no field: it declares whether `center`
+# lines are present.
 MANIFEST_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
     "graph_path": ("graph_path", str),
     "graph_format": ("graph_format", _one_of(*EDGE_FORMATS)),
     "dataset": ("dataset_paths", _dataset),
-    "centers": ("center_mode", _one_of("from-datasets", "explicit")),
+    "centers": ("centers", _one_of("from-datasets", "explicit")),
     "center": ("center_labels", str),
     "hop": ("hops", _one_of(*HOPS, cast=int)),
     "algorithm": ("algorithms", _one_of(*ALGORITHMS)),
@@ -178,6 +181,8 @@ def load_manifest(
             elif setting:  # node2vec or sdne, whose own checks run here
                 settings[group] = replace(settings[group], **{setting: value})
             elif isinstance(settings.get(name), list):
+                if name == "dataset_paths" and value[0] in (d[0] for d in settings[name]):
+                    raise ValueError(f"{raw!r} repeats an earlier line's dataset name")
                 settings[name].append(value)
             else:
                 settings[name] = value
@@ -201,14 +206,16 @@ def load_manifest(
     )
     # checks across lines, each naming the line it refuses
     if "dim_schedule" in settings:
-        missing = [hop for hop in settings["hops"] if hop not in settings["dim_schedule"]]
+        schedule = settings["dim_schedule"]
+        missing = [hop for hop in dict.fromkeys(settings["hops"]) if hop not in schedule]
         if missing:
             where, raw = last_line["dim_schedule"]
             raise ValueError(f"{where}: bad value for dim_schedule: {raw!r} gives no "
                              f"dimension for hops {missing} of this run")
-    if settings.get("center_mode") == "explicit" and not settings["center_labels"]:
-        raise ValueError(f"{last_line['centers'][0]}: centers = explicit, but no center line "
-                         "names a center")
+    declared = settings.pop("centers", None)
+    if declared is not None and (declared == "explicit") != bool(settings["center_labels"]):
+        raise ValueError(f"{last_line['centers'][0]}: centers = {declared}, but "
+                         f"{'no' if declared == 'explicit' else 'a'} center line names a center")
 
     if workers < 1:
         raise ValueError(f"--workers must be >= 1, got {workers}")

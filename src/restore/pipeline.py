@@ -26,7 +26,7 @@ import numpy as np
 from .config import RunConfig
 from .dot import render_dot
 from .emb_io import read_embedding, write_embedding
-from .factorization import clamp_dim, hope_embed, lap_embed, lle_embed
+from .factorization import hope_embed, lap_embed, lle_embed
 from .graph import DiGraph, khop_ego_subgraph
 from .ingest import graph_from_records, parse_edge_list, write_atomic, write_edge_list
 from .randomwalk import node2vec_embed
@@ -222,13 +222,12 @@ def _center_cells(cfg: RunConfig) -> list[Cell]:
 def resolve_centers(
     cfg: RunConfig, dataset_vocab: Mapping[str, set[str]], graph: DiGraph
 ) -> tuple[list[str], list[str]]:
-    """(resolved, unresolved) center labels: explicit labels deduplicated in
-    manifest order and split by graph membership, or else the mapped dataset
+    """(resolved, unresolved) center labels: the explicit labels, if any, split
+    by graph membership in manifest order, or else the mapped dataset
     vocabulary intersected with the graph, sorted. Raises if none resolves."""
-    if cfg.center_mode == "explicit" or cfg.center_labels:
-        labels = list(dict.fromkeys(cfg.center_labels))
-        resolved = [lab for lab in labels if graph.has_label(lab)]
-        unresolved = [lab for lab in labels if not graph.has_label(lab)]
+    if cfg.center_labels:
+        resolved = [lab for lab in cfg.center_labels if graph.has_label(lab)]
+        unresolved = [lab for lab in cfg.center_labels if not graph.has_label(lab)]
         why = f"center labels not present in graph: {unresolved}"
     else:
         mapper = cfg.label_mapper()
@@ -313,14 +312,13 @@ def run_embed(cfg: RunConfig) -> list[dict]:
     def worker(cell: Cell):
         sub = _load_subgraph(out, cell)
         requested = cfg.dim_schedule[cell.hop]
-        effective = clamp_dim(requested, sub.node_count)
-        if effective != requested:
-            log.info("cell %s: requested %d, effective %d", cell.key, requested, effective)
         emb = _embed_one(cfg, sub, cell.algorithm, requested, cell.seed)
         write_embedding(emb, out.embedding(cell), cfg.emb_format)
+        if emb.dim != requested:
+            log.info("cell %s: requested %d, effective %d", cell.key, requested, emb.dim)
         return {
             "requested_dim": requested,
-            "effective_dim": effective,
+            "effective_dim": emb.dim,
             "cell_seed": cell.seed,
             "nodes": sub.node_count,
         }

@@ -19,7 +19,6 @@ from .graph import DiGraph
 @dataclass
 class WalkCorpus:
     walks: list[np.ndarray]
-    walk_length: int
 
 
 @dataclass
@@ -73,30 +72,19 @@ def _walk(g: DiGraph, start: int, p: float, q: float, uniforms: np.ndarray) -> n
     return np.array(walk, dtype=np.int64)
 
 
-def generate_walks(
-    g: DiGraph,
-    walk_length: int,
-    walks_per_node: int,
-    p: float,
-    q: float,
-    seed: int,
-) -> WalkCorpus:
-    """walks_per_node biased walks from every node, deterministic for a seed.
+def generate_walks(g: DiGraph, params: Node2VecConfig, seed: int) -> WalkCorpus:
+    """params.walks_per_node biased walks from every node, deterministic for a seed.
 
     Transitions from (prev, cur) to x are weighted 1/p when x == prev, 1 when
     x is adjacent to prev in either direction, 1/q otherwise, normalized over
     cur's out-neighbors; with p = q = 1 this is a uniform out-edge walk.
     """
-    if walk_length < 1:
-        raise ValueError("walk_length must be >= 1")
-    if p <= 0 or q <= 0:
-        raise ValueError("p and q must be positive")
-    walks = [
-        _walk(g, node, p, q, np.random.default_rng((seed, node, w)).random(walk_length - 1))
+    steps = params.walk_length - 1
+    return WalkCorpus(walks=[
+        _walk(g, node, params.p, params.q, np.random.default_rng((seed, node, w)).random(steps))
         for node in range(g.node_count)
-        for w in range(walks_per_node)
-    ]
-    return WalkCorpus(walks=walks, walk_length=walk_length)
+        for w in range(params.walks_per_node)
+    ])
 
 
 # -- skip-gram with negative sampling ------------------------------------
@@ -177,12 +165,11 @@ def train_sgns(
     corpus: WalkCorpus,
     d: int,
     params: Node2VecConfig,
-    node_count: int,
+    labels: Sequence[str],
     seed: int,
-    labels: Sequence[str] | None = None,
     on_epoch: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
 ) -> EmbeddingMatrix:
-    """Mini-batch SGD ascent on the SGNS objective; returns the input-vector matrix.
+    """Mini-batch SGD ascent on the SGNS objective; returns one input vector per label.
 
     Only the SGNS settings of `params` are read. Each epoch visits every
     (center, context) pair once in a seeded random order, with freshly drawn
@@ -192,6 +179,7 @@ def train_sgns(
     """
     if not corpus.walks:
         raise ValueError("empty corpus")
+    node_count = len(labels)
     d_eff = clamp_dim(d, node_count)
     rng = np.random.default_rng(seed)
     vin = (rng.random((node_count, d_eff)) - 0.5) / d_eff
@@ -199,8 +187,6 @@ def train_sgns(
 
     centers, contexts = corpus_pairs(corpus, params.context_size)
     n_pairs = centers.shape[0]
-    if labels is None:
-        labels = tuple(str(i) for i in range(node_count))
     if n_pairs == 0:
         return EmbeddingMatrix(labels=tuple(labels), vectors=vin, algorithm_tag="node2vec")
 
@@ -230,5 +216,4 @@ def train_sgns(
 
 def node2vec_embed(g: DiGraph, d: int, params: Node2VecConfig, seed: int) -> EmbeddingMatrix:
     """Walk generation composed with SGNS training, both under `seed`."""
-    corpus = generate_walks(g, params.walk_length, params.walks_per_node, params.p, params.q, seed)
-    return train_sgns(corpus, d, params, g.node_count, seed, labels=g.labels)
+    return train_sgns(generate_walks(g, params, seed), d, params, g.labels, seed)

@@ -113,7 +113,7 @@ dataset = rg65 similarity rg.tsv
         m = load_manifest(self.write(tmp_path, "graph_path = g.tsv\n"), tmp_path / "out")
         assert m.hops == (1, 2, 3)
         assert m.algorithms == ("node2vec", "hope", "sdne", "lap", "lle")
-        assert m.center_mode == "from-datasets"
+        assert m.center_labels == ()
 
     def test_invalid_hop_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="hop"):
@@ -132,18 +132,22 @@ dataset = rg65 similarity rg.tsv
 class TestResolveCenters:
     def test_explicit_present(self):
         g = graph_from_labeled_edges([("/c/en/smartphone", "/c/en/telephone")])
-        m = RunConfig("x", Path("out"), center_mode="explicit", center_labels=("/c/en/smartphone",))
+        m = RunConfig("x", Path("out"), center_labels=("/c/en/smartphone",))
         assert resolve_centers(m, {}, g) == (["/c/en/smartphone"], [])
 
     def test_explicit_split_in_manifest_order(self):
+        """A config built directly holds each center, hop and algorithm once,
+        at its first place."""
         g = graph_from_labeled_edges([("a", "b"), ("b", "c")])
-        m = RunConfig("x", Path("out"), center_mode="explicit",
-                      center_labels=("c", "ghost", "a", "c", "ghost"))
+        m = RunConfig("x", Path("out"), center_labels=("c", "ghost", "a", "c", "ghost"),
+                      hops=(2, 1, 2), algorithms=("lap", "hope", "lap", "hope"))
+        assert (m.center_labels, m.hops, m.algorithms) == (("c", "ghost", "a"), (2, 1),
+                                                           ("lap", "hope"))
         assert resolve_centers(m, {}, g) == (["c", "a"], ["ghost"])
 
     def test_explicit_absent_names_label(self):
         g = graph_from_labeled_edges([("a", "b")])
-        m = RunConfig("x", Path("out"), center_mode="explicit", center_labels=("ghost",))
+        m = RunConfig("x", Path("out"), center_labels=("ghost",))
         with pytest.raises(ValueError, match="no centers resolved.*ghost"):
             resolve_centers(m, {}, g)
 

@@ -205,14 +205,18 @@ class TestLoadManifest:
         assert load_manifest(manifest, out).threshold == 0.3
 
     def test_explicit_centers_need_a_center_line(self, tmp_path, capsys):
+        """A `centers` line must agree with the `center` lines, both ways."""
         (tmp_path / "graph.tsv").write_text(TOY_GRAPH)
         manifest = tmp_path / "run.cfg"
-        manifest.write_text(f"graph_path = {tmp_path / 'graph.tsv'}\ncenters = explicit\nhop = 1\n")
+        head = f"graph_path = {tmp_path / 'graph.tsv'}\n"
         out = tmp_path / "out"
-        assert cli_main(["run-all", "--config", str(manifest), "--output", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("restore: error: ") and "run.cfg:2: centers = explicit" in err
-        assert not out.exists()
+        for centers, rest in [("explicit", "hop = 1\n"),
+                              ("from-datasets", "hop = 1\ncenter = /c/en/cat\n")]:
+            manifest.write_text(f"{head}centers = {centers}\n{rest}")
+            assert cli_main(["run-all", "--config", str(manifest), "--output", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("restore: error: ") and f"run.cfg:2: centers = {centers}" in err
+            assert not out.exists()
 
     def test_dim_schedule_before_hop_lines(self, tmp_path):
         """The schedule is checked against the run's hops after the last line,
@@ -223,6 +227,9 @@ class TestLoadManifest:
         manifest.write_text(head + "dim_schedule = 1:1\nhop = 1\nhop = 2\n")
         with pytest.raises(ValueError, match=r"run.cfg:2: bad value for dim_schedule: '1:1' gives "
                                              r"no dimension for hops \[2\] of this run"):
+            load_manifest(manifest, tmp_path / "out")
+        manifest.write_text(head + "dim_schedule = 1:1\nhop = 2\nhop = 2\n")
+        with pytest.raises(ValueError, match=r"no dimension for hops \[2\] of this run"):
             load_manifest(manifest, tmp_path / "out")
         manifest.write_text(head + "dim_schedule = 1:1,2:3\nhop = 1\nhop = 2\n")
         assert load_manifest(manifest, tmp_path / "out").dim_schedule == {1: 1, 2: 3}
@@ -551,7 +558,8 @@ dim_schedule = 1:4,2:4,3:4
                            ("node2vec.context_size", "0"), ("node2vec.walks_per_node", "0"),
                            ("node2vec.p", "0"), ("node2vec.learning_rate", "-1"),
                            ("sdne.batch_size", "0"), ("epochs", "0"), ("hope_beta", "-1"),
-                           ("dim_schedule", "1:1"), ("threshold", "1.5"), ("threshold", "nan")]:
+                           ("dim_schedule", "1:1"), ("threshold", "1.5"), ("threshold", "nan"),
+                           ("dataset", "toysim similarity sim2.tsv")]:
             manifest = write_world(tmp_path, extra=f"{key} = {value}\n")
             line = len(manifest.read_text().splitlines())
             out = tmp_path / f"out_{key}_{value}"
@@ -645,12 +653,32 @@ dim_schedule = 1:4,2:4,3:4
         assert load_manifest(manifest, out).graph_format == "tsv3"
 
     def test_workers_do_not_change_results(self, tmp_path):
+        """Every output file but timings.json is byte-identical at 1 and 4 workers."""
         manifest = write_world(tmp_path)
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert cli_main(["run-all", "--config", str(manifest), "--output", str(out1)]) == 0
-        assert cli_main(["run-all", "--config", str(manifest), "--output", str(out2),
-                         "--workers", "4"]) == 0
-        assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+        trees = []
+        for workers in ("1", "4"):
+            out = tmp_path / f"o{workers}"
+            assert cli_main(["run-all", "--config", str(manifest), "--output", str(out), "--dot",
+                             "--workers", workers]) == 0
+            trees.append({path.relative_to(out).as_posix(): path.read_bytes()
+                          for path in out.rglob("*")
+                          if path.is_file() and path.name != "timings.json"})
+        assert any(name.startswith("dot/") for name in trees[0])
+        assert trees[0] == trees[1]
+
+    def test_repeated_grid_lines_add_nothing(self, tmp_path):
+        """A repeated hop or algorithm line runs each cell once, also on a worker pool."""
+        manifest = write_world(tmp_path, algorithms=("lap", "hope"))
+        once = tmp_path / "once"
+        assert cli_main(["run-all", "--config", str(manifest), "--output", str(once)]) == 0
+        manifest = write_world(tmp_path, algorithms=("lap", "hope", "lap"), extra="hop = 1\n")
+        twice = tmp_path / "twice"
+        assert cli_main(["run-all", "--config", str(manifest), "--output", str(twice),
+                         "--workers", "2"]) == 0
+        cells = json.loads((twice / "cells.json").read_text())["cells"]
+        assert len(cells) == len({(cell["center"], cell["hop"]) for cell in cells})
+        for name in ("cells.json", "report.json"):
+            assert (twice / name).read_bytes() == (once / name).read_bytes(), name
 
 
 def _readme_layout() -> list[re.Pattern]:

@@ -22,19 +22,19 @@ def labels_of(g, walk):
 class TestWalks:
     def test_dead_end_truncates(self):
         g = build_graph([("a", "b")])
-        corpus = generate_walks(g, walk_length=5, walks_per_node=1, p=1, q=1, seed=0)
+        corpus = generate_walks(g, Node2VecConfig(walk_length=5, walks_per_node=1), seed=0)
         from_a = [w for w in corpus.walks if g.label_of(int(w[0])) == "a"]
         assert labels_of(g, from_a[0]) == ["a", "b"]
 
     def test_two_cycle_forced_path(self):
         g = build_graph([("a", "b"), ("b", "a")])
-        corpus = generate_walks(g, walk_length=4, walks_per_node=1, p=1, q=1, seed=3)
+        corpus = generate_walks(g, Node2VecConfig(walk_length=4, walks_per_node=1), seed=3)
         from_a = [w for w in corpus.walks if g.label_of(int(w[0])) == "a"][0]
         assert labels_of(g, from_a) == ["a", "b", "a", "b"]
 
     def test_star_uniform_frequency(self):
         g = build_graph([("c", "x"), ("c", "y"), ("c", "z")])
-        corpus = generate_walks(g, walk_length=2, walks_per_node=10_000, p=1, q=1, seed=11)
+        corpus = generate_walks(g, Node2VecConfig(walk_length=2, walks_per_node=10_000), seed=11)
         seconds = [
             g.label_of(int(w[1]))
             for w in corpus.walks
@@ -47,19 +47,21 @@ class TestWalks:
 
     def test_walks_respect_out_edges(self):
         g = gen_synthetic("scale_free", 40, seed=5)
-        corpus = generate_walks(g, walk_length=10, walks_per_node=3, p=0.5, q=2.0, seed=9)
+        params = Node2VecConfig(walk_length=10, walks_per_node=3, p=0.5, q=2.0)
+        corpus = generate_walks(g, params, seed=9)
         for walk in corpus.walks:
             for a, b in zip(walk[:-1], walk[1:]):
                 assert has_edge(g, int(a), int(b))
-            if walk.shape[0] < corpus.walk_length:  # short only at a dead end
+            if walk.shape[0] < params.walk_length:  # short only at a dead end
                 assert g.out_neighbors(int(walk[-1])).shape[0] == 0
 
     def test_seed_determinism(self):
         g = gen_synthetic("erdos", 15, seed=1)
-        c1 = generate_walks(g, 10, 2, 1, 1, seed=42)
-        c2 = generate_walks(g, 10, 2, 1, 1, seed=42)
+        params = Node2VecConfig(walk_length=10, walks_per_node=2)
+        c1 = generate_walks(g, params, seed=42)
+        c2 = generate_walks(g, params, seed=42)
         assert all(np.array_equal(a, b) for a, b in zip(c1.walks, c2.walks))
-        c3 = generate_walks(g, 10, 2, 1, 1, seed=43)
+        c3 = generate_walks(g, params, seed=43)
         assert any(not np.array_equal(a, b) for a, b in zip(c1.walks, c3.walks))
 
     def test_bias_parameters_change_distribution(self):
@@ -68,8 +70,8 @@ class TestWalks:
             [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b"), ("a", "c"), ("c", "a"),
              ("c", "d"), ("d", "c")]
         )
-        wide = generate_walks(g, 6, 400, p=1.0, q=0.1, seed=2)
-        tight = generate_walks(g, 6, 400, p=1.0, q=10.0, seed=2)
+        wide = generate_walks(g, Node2VecConfig(walk_length=6, walks_per_node=400, q=0.1), seed=2)
+        tight = generate_walks(g, Node2VecConfig(walk_length=6, walks_per_node=400, q=10.0), seed=2)
 
         def visits(corpus, label):
             idx = g.index_of(label)
@@ -80,9 +82,9 @@ class TestWalks:
     def test_rejects_bad_parameters(self):
         g = build_graph([("a", "b")])
         with pytest.raises(ValueError):
-            generate_walks(g, 0, 1, 1, 1, seed=0)
+            generate_walks(g, Node2VecConfig(walk_length=0, walks_per_node=1), seed=0)
         with pytest.raises(ValueError):
-            generate_walks(g, 5, 1, 0.0, 1, seed=0)
+            generate_walks(g, Node2VecConfig(walk_length=5, walks_per_node=1, p=0.0), seed=0)
 
 
 class TestSgns:
@@ -90,9 +92,9 @@ class TestSgns:
         walks = [np.array([0, 1], dtype=np.int64)] * 50 + [
             np.array([2, 3], dtype=np.int64)
         ] * 50
-        corpus = WalkCorpus(walks=walks, walk_length=2)
+        corpus = WalkCorpus(walks=walks)
         params = Node2VecConfig(context_size=2, negatives_per_positive=3, epochs=30)
-        emb = train_sgns(corpus, 3, params, node_count=4, seed=1)
+        emb = train_sgns(corpus, 3, params, ("a", "b", "c", "d"), seed=1)
 
         def cosine(u, v):
             return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
@@ -101,19 +103,19 @@ class TestSgns:
         assert cosine(v[0], v[1]) > cosine(v[0], v[2])
 
     def test_single_node_corpus(self):
-        corpus = WalkCorpus(walks=[np.array([0], dtype=np.int64)], walk_length=1)
-        emb = train_sgns(corpus, 4, Node2VecConfig(), node_count=1, seed=0)
+        corpus = WalkCorpus(walks=[np.array([0], dtype=np.int64)])
+        emb = train_sgns(corpus, 4, Node2VecConfig(), ("a",), seed=0)
         assert emb.vectors.shape == (1, 1)
         assert np.isfinite(emb.vectors).all()
 
     def test_empty_corpus_errors(self):
-        corpus = WalkCorpus(walks=[], walk_length=5)
+        corpus = WalkCorpus(walks=[])
         with pytest.raises(ValueError, match="empty corpus"):
-            train_sgns(corpus, 2, Node2VecConfig(), node_count=3, seed=0)
+            train_sgns(corpus, 2, Node2VecConfig(), ("a", "b", "c"), seed=0)
 
     def test_noise_is_unigram_to_three_quarters(self):
         # node 1 appears 4 times, node 0 twice, node 3 once, node 2 never
-        corpus = WalkCorpus(walks=[np.array([1, 0, 1]), np.array([1, 1, 0, 3])], walk_length=4)
+        corpus = WalkCorpus(walks=[np.array([1, 0, 1]), np.array([1, 1, 0, 3])])
         powered = np.array([2.0, 4.0, 0.0, 1.0]) ** 0.75
         noise = _noise_distribution(corpus, 4)
         assert np.allclose(noise, powered / powered.sum(), rtol=0, atol=1e-15)
@@ -128,9 +130,9 @@ class TestSgns:
             real_epoch(vin, vout, centers, contexts, order, negs, lr0, lr_floor, step0, total, batch)
 
         monkeypatch.setattr(randomwalk, "_sgns_epoch", spy)
-        corpus = WalkCorpus(walks=[np.array([0, 1, 2])], walk_length=3)  # 6 pairs at context 2
+        corpus = WalkCorpus(walks=[np.array([0, 1, 2])])  # 6 pairs at context 2
         params = Node2VecConfig(context_size=2, learning_rate=0.05, epochs=3)
-        train_sgns(corpus, 2, params, node_count=3, seed=0)
+        train_sgns(corpus, 2, params, ("a", "b", "c"), seed=0)
         assert calls == [(0.05, 0.05 * 1e-4, 6 * epoch, 18) for epoch in range(3)]
 
     def test_gradient_matches_finite_differences(self):
@@ -170,7 +172,7 @@ class TestSgns:
 
     def test_loss_nonincreasing_at_small_lr(self):
         g = gen_synthetic("erdos", 20, seed=6)
-        corpus = generate_walks(g, 10, 3, 1, 1, seed=6)
+        corpus = generate_walks(g, Node2VecConfig(walk_length=10, walks_per_node=3), seed=6)
         centers, contexts = corpus_pairs(corpus, 3)
         noise = _noise_distribution(corpus, g.node_count)
         losses = []
@@ -180,7 +182,7 @@ class TestSgns:
 
         params = Node2VecConfig(context_size=3, negatives_per_positive=3,
                                 learning_rate=1e-3, epochs=8)
-        train_sgns(corpus, 4, params, g.node_count, seed=6, on_epoch=track)
+        train_sgns(corpus, 4, params, g.labels, seed=6, on_epoch=track)
         assert len(losses) == 9
         for before, after in zip(losses, losses[1:]):
             assert after <= before + 1e-9 * max(1.0, abs(before))
