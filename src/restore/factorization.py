@@ -85,7 +85,7 @@ def _spectral_embed(g: DiGraph, d: int, tag: str, use_normalized_laplacian: bool
         _, vectors = sym_eig_smallest(system, take + 1)
         sub = vectors[:, 1:take + 1]
         if use_normalized_laplacian:
-            sub = sub * (1.0 / np.sqrt(deg))[:, None]
+            sub = sub * dis[:, None]
         out[active, :take] = sub
     return EmbeddingMatrix(labels=g.labels, vectors=out, algorithm_tag=tag)
 

@@ -32,14 +32,14 @@ class ParsedEdgeList:
 
 
 def parse_edge_list(path: str | Path, fmt: str = "tsv3") -> ParsedEdgeList:
-    """Read an edge list, collecting malformed lines as diagnostics.
+    """Read an edge list line by line, collecting malformed lines as diagnostics.
 
+    Lines end only at LF, CR LF or CR, so a label may hold U+001C or U+2028.
     More than 1% malformed lines is treated as file corruption and raises,
     with the first few diagnostics in the message.
     """
     if fmt not in EDGE_FORMATS:
         raise ValueError(f"unknown edge-list format {fmt!r}; expected one of {EDGE_FORMATS}")
-    text = Path(path).read_text(encoding="utf-8")
     edges: list[tuple[str, str]] = []
     isolated: list[str] = []
     diagnostics: list[str] = []
@@ -47,33 +47,35 @@ def parse_edge_list(path: str | Path, fmt: str = "tsv3") -> ParsedEdgeList:
 
     col_src, col_dst, needed = 0, 2, 3
     header_seen = fmt != "tsv_kgtk"
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if line.startswith(_NODE_COMMENT):
-            isolated.append(line[len(_NODE_COMMENT):].strip())
-            continue
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if not header_seen:
-            header_seen = True
-            cols = [c.strip() for c in parts]
-            try:
-                col_src = cols.index("node1")
-                col_rel = cols.index("relation")
-                col_dst = cols.index("node2")
-            except ValueError:
-                raise ValueError(
-                    f"{path}: kgtk header must name node1/relation/node2 columns, got {cols}"
-                ) from None
-            needed = max(col_src, col_rel, col_dst) + 1
-            continue
-        data_lines += 1
-        if len(parts) >= needed:
-            src, dst = parts[col_src].strip(), parts[col_dst].strip()
-            if src and dst:
-                edges.append((src, dst))
+    with open(path, encoding="utf-8") as f:
+        for line_no, line in enumerate(f, start=1):
+            line = line.rstrip("\n")
+            if line.startswith(_NODE_COMMENT):
+                isolated.append(line[len(_NODE_COMMENT):].strip())
                 continue
-        diagnostics.append(f"line {line_no}: expected {needed} tab-separated columns")
+            if not line.strip() or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if not header_seen:
+                header_seen = True
+                cols = [c.strip() for c in parts]
+                try:
+                    col_src = cols.index("node1")
+                    col_rel = cols.index("relation")
+                    col_dst = cols.index("node2")
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: kgtk header must name node1/relation/node2 columns, got {cols}"
+                    ) from None
+                needed = max(col_src, col_rel, col_dst) + 1
+                continue
+            data_lines += 1
+            if len(parts) >= needed:
+                src, dst = parts[col_src].strip(), parts[col_dst].strip()
+                if src and dst:
+                    edges.append((src, dst))
+                    continue
+            diagnostics.append(f"line {line_no}: expected {needed} tab-separated columns")
     if data_lines and len(diagnostics) / data_lines > _MALFORMED_LIMIT:
         sample = "; ".join(diagnostics[:5])
         raise ValueError(

@@ -4,8 +4,9 @@ The truncated SVD is LAPACK's at every size. The symmetric eigensolver is
 LAPACK's (`eigh`) above JACOBI_MAX_N and a cyclic Jacobi iteration below it.
 Jacobi stays there because it decides which basis a repeated eigenvalue
 gets, and the small ego graphs that LAP and LLE solve have many: `eigh`
-picks another basis and lowers their reconstruction scores. Each rotation
-updates whole rows and columns with numpy.
+picks another basis and lowers their reconstruction scores. Jacobi stacks
+the matrix on its eigenvectors, so a rotation writes two columns of both at
+once, then two rows of the matrix.
 """
 from __future__ import annotations
 
@@ -21,16 +22,17 @@ JACOBI_MAX_N = 128
 _SWEEP_LIMIT = 64
 
 
-def _jacobi_sweeps(a, v, tol, max_sweeps):
-    """Cyclic Jacobi on symmetric `a` (in place), accumulating rotations in `v`.
-
-    Returns the number of sweeps taken before the off-diagonal norm fell to
-    `tol`, or max_sweeps if it never did.
-    """
+def _jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi on symmetric `a`: (values, vectors) as `np.linalg.eigh`
+    returns them, but unsorted. The matrix sits on its eigenvectors in one
+    (2n, n) array, so one column write rotates both."""
     n = a.shape[0]
-    for sweep in range(max_sweeps):
+    w = np.vstack((a, np.eye(n)))
+    a = w[:n]
+    tol = 1e-14 * max(1.0, float(np.linalg.norm(a)))
+    for _ in range(_SWEEP_LIMIT):
         if math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2))) <= tol:
-            return sweep
+            return np.diag(a), w[n:]
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
@@ -43,18 +45,12 @@ def _jacobi_sweeps(a, v, tol, max_sweeps):
                     t = 1.0 / (theta - math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return max_sweeps
+                cp, cq = w[:, p], w[:, q]
+                w[:, p], w[:, q] = c * cp - s * cq, s * cp + c * cq
+                rp, rq = a[p], a[q]
+                a[p], a[q] = c * rp - s * rq, s * rp + c * rq
+                a[p, q] = a[q, p] = 0.0
+    raise RuntimeError("jacobi eigensolver failed to converge")
 
 
 def _column_signs(vectors: np.ndarray) -> np.ndarray:
@@ -86,19 +82,10 @@ def sym_eig_smallest(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for a {n}x{n} matrix")
-    if n > JACOBI_MAX_N:
-        vals, vecs = np.linalg.eigh(a)
-    else:
-        work = a.copy()
-        vecs = np.eye(n, dtype=np.float64)
-        tol = 1e-14 * max(1.0, float(np.linalg.norm(work)))
-        if _jacobi_sweeps(work, vecs, tol, _SWEEP_LIMIT) >= _SWEEP_LIMIT:
-            raise RuntimeError("jacobi eigensolver failed to converge")
-        vals = np.diag(work)
-        order = np.argsort(vals, kind="stable")
-        vals, vecs = vals[order], vecs[:, order]
-    vecs = vecs[:, :k]
-    return vals[:k], vecs * _column_signs(vecs)
+    vals, vecs = np.linalg.eigh(a) if n > JACOBI_MAX_N else _jacobi_eigh(a)
+    order = np.argsort(vals, kind="stable")[:k]
+    vals, vecs = vals[order], vecs[:, order]
+    return vals, vecs * _column_signs(vecs)
 
 
 def truncated_svd(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -105,8 +105,8 @@ def _backward(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gradients of the total loss w.r.t. every weight and bias."""
     n_layers = len(stack.weights)
-    grads_w = [np.zeros_like(w) for w in stack.weights]
-    grads_b = [np.zeros_like(bb) for bb in stack.biases]
+    grads_w = [None] * n_layers
+    grads_b = [None] * n_layers
 
     x_hat = acts[-1]
     delta = 2.0 * (x_hat - x) * (b * b) * x_hat * (1.0 - x_hat)

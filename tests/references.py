@@ -1,17 +1,20 @@
 """Reference implementations that the tests check the program against.
 
 None of this runs in the pipeline. Each piece is an independent way to state
-a quantity the program computes or relies on: the Katz power series, the SGNS
-and SDNE losses and their finite-difference gradient checks, a label-checked
+a quantity the program computes or relies on: the Katz power series, the
+copy-based Jacobi eigensolver that the program's must match bit for bit, the
+SGNS and SDNE losses and their finite-difference gradient checks, a label-checked
 graph builder, degree statistics, edge membership, and how much of a dataset's
 vocabulary a graph holds. Unlike `oracles.py`, these use numpy.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 import restore.sdne as sdne
 from restore.graph import DiGraph, graph_from_labeled_edges
+from restore.linalg import _column_signs
 from restore.semantic import default_label_mapper
 
 
@@ -89,6 +92,66 @@ def katz_series(a, beta, cutoff=1e-13, max_terms=10_000):
             break
         term = beta * (term @ a)
     return s
+
+
+# -- eigensolver ---------------------------------------------------------
+
+
+def _jacobi_sweeps(a, v, tol, max_sweeps):
+    """Cyclic Jacobi on symmetric `a` (in place), accumulating rotations in `v`.
+
+    This is the solver as it stood before it took one stacked workspace; it
+    updates the columns, then the rows, then the eigenvectors, each from
+    copies. Returns the number of sweeps taken, or max_sweeps.
+    """
+    n = a.shape[0]
+    for sweep in range(max_sweeps):
+        if math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2))) <= tol:
+            return sweep
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if theta >= 0.0:
+                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
+                else:
+                    t = 1.0 / (theta - math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                cp, cq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+                rp, rq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    return max_sweeps
+
+
+def sym_eig_reference(a, k):
+    """The k smallest eigenpairs by the copy-based Jacobi above (eigh above
+    128 nodes), sorted, sliced and signed the same way as the program."""
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    if n > 128:
+        vals, vecs = np.linalg.eigh(a)
+    else:
+        work = a.copy()
+        vecs = np.eye(n, dtype=np.float64)
+        tol = 1e-14 * max(1.0, float(np.linalg.norm(work)))
+        if _jacobi_sweeps(work, vecs, tol, 64) >= 64:
+            raise RuntimeError("jacobi eigensolver failed to converge")
+        vals = np.diag(work)
+        order = np.argsort(vals, kind="stable")
+        vals, vecs = vals[order], vecs[:, order]
+    vecs = vecs[:, :k]
+    return vals[:k], vecs * _column_signs(vecs)
 
 
 # -- SGNS -----------------------------------------------------------------

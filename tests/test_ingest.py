@@ -44,6 +44,22 @@ class TestParseEdgeList:
         assert len(parsed.edges) == 200
         assert parsed.diagnostics == ["line 101: expected 3 tab-separated columns"]
 
+    @pytest.mark.parametrize("sep", ["\u2028", "\x1c"], ids=["u2028", "x1c"])
+    def test_only_newlines_end_lines(self, tmp_path, sep):
+        """A label may hold any character but a line end; str.splitlines would
+        split this line in two, and parse 'y rel z' as a malformed-line edge."""
+        odd = f"x{sep}y\trel\tz"
+        good = [f"a{i}\tr\tb{i}" for i in range(200)]
+        lf, crlf, alone = tmp_path / "lf.tsv", tmp_path / "crlf.tsv", tmp_path / "alone.tsv"
+        lf.write_bytes(("\n".join(good[:100] + [odd] + good[100:]) + "\n").encode("utf-8"))
+        crlf.write_bytes(("\r\n".join(good[:100] + [odd] + good[100:]) + "\r\n").encode("utf-8"))
+        alone.write_bytes((odd + "\n").encode("utf-8"))
+        parsed = parse_edge_list(lf, "tsv3")
+        assert parsed.diagnostics == []
+        assert parsed.edges[100] == (f"x{sep}y", "z") and len(parsed.edges) == 201
+        assert parse_edge_list(crlf, "tsv3") == parsed
+        assert parse_edge_list(alone, "tsv3").edges == [(f"x{sep}y", "z")]
+
     def test_unknown_format(self, tmp_path):
         f = tmp_path / "e.tsv"
         f.write_text("a\tr\tb\n")

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from references import build_graph, katz_series
-from restore.graph import gen_synthetic, graph_from_labeled_edges
-from restore.linalg import katz_similarity, sym_eig_smallest, truncated_svd
+import restore.factorization as factorization
+import restore.linalg as linalg
+from references import build_graph, katz_series, sym_eig_reference
+from restore.graph import gen_synthetic, graph_from_labeled_edges, khop_ego_subgraph
+from restore.linalg import JACOBI_MAX_N, katz_similarity, sym_eig_smallest, truncated_svd
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -80,6 +82,74 @@ class TestSymEig:
         values2, vectors2 = sym_eig_smallest(a, 5)
         assert np.array_equal(values1, values2)
         assert np.array_equal(vectors1, vectors2)
+
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_SWEEP_LIMIT", 1)
+        a = random_symmetric(np.random.default_rng(5), 20)
+        with pytest.raises(RuntimeError, match="jacobi"):
+            sym_eig_smallest(a, 3)
+
+    def test_eigh_branch_shares_sort_and_signs(self):
+        n = JACOBI_MAX_N + 2
+        a = random_symmetric(np.random.default_rng(19), n)
+        k = n // 2
+        values, vectors = sym_eig_smallest(a, k)
+        assert (np.diff(values) >= 0.0).all()
+        assert np.allclose(values, np.linalg.eigvalsh(a)[:k], atol=1e-9)
+        assert np.abs(vectors.T @ vectors - np.eye(k)).max() <= 1e-9
+        first_significant_positive(vectors)
+
+
+def assert_matches_reference(a, k):
+    values, vectors = sym_eig_smallest(a, k)
+    ref_values, ref_vectors = sym_eig_reference(a, k)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(vectors, ref_vectors)
+
+
+class TestSymEigBits:
+    """The stacked Jacobi gives the copy-based one's values and vectors bit
+    for bit, which keeps every LAP and LLE embedding as it was."""
+
+    def test_random_symmetric(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            n = int(rng.integers(2, 65))
+            assert_matches_reference(random_symmetric(rng, n), int(rng.integers(1, n + 1)))
+
+    def test_symmetric_within_tolerance(self):
+        """Inputs need only be symmetric within 1e-10. On exactly symmetric
+        ones, updating the rows before the columns gives the same bits; on
+        these it does not, so the update order is pinned too."""
+        rng = np.random.default_rng(29)
+        for _ in range(5):
+            n = int(rng.integers(2, 33))
+            a = random_symmetric(rng, n) + 1e-12 * rng.standard_normal((n, n))
+            assert_matches_reference(a, n)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_cut_inside_repeated_eigenvalue(self, k):
+        # LAP system of two disjoint 4-cliques: eigenvalue 0 twice, 4/3 six times
+        clique = np.ones((4, 4)) - np.eye(4)
+        adjacency = np.block([[clique, np.zeros((4, 4))], [np.zeros((4, 4)), clique]])
+        assert_matches_reference(np.eye(8) - adjacency / 3.0, k)
+
+    @pytest.mark.parametrize("embed", [factorization.lap_embed, factorization.lle_embed],
+                             ids=["lap", "lle"])
+    def test_ego_graph_systems(self, embed, monkeypatch):
+        systems = []
+
+        def record(a, k):
+            systems.append((a.copy(), k))
+            return sym_eig_smallest(a, k)
+
+        monkeypatch.setattr(factorization, "sym_eig_smallest", record)
+        g = gen_synthetic("scale_free", 2000, 0)
+        for center in ("n1900", "n1050", "n1350", "n1200"):
+            embed(khop_ego_subgraph(g, center, 2), 64)
+        assert len(systems) == 4
+        for a, k in systems:
+            assert_matches_reference(a, k)
 
 
 class TestTruncatedSvd:
